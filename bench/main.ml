@@ -2110,7 +2110,7 @@ type store_run = {
   sr_segments : int;
   sr_generate_s : float;
   sr_cold_ns : float;  (* open_ + first routed query, everything cold *)
-  sr_warm_ns : float;  (* same handle + query: route memo hit *)
+  sr_warm_ns : float;  (* same handle + query: route snapshot hit *)
   sr_reopen_ns : float;  (* fresh handle, warm block cache *)
   sr_second_ns : float;  (* different island on handle 1: cold group *)
   sr_cold_loads : int;

@@ -155,49 +155,6 @@ let tenant_for t req =
 (* Request execution                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-DOMAIN mediator-environment memos, keyed by workspace root: the
-   admission workers are domains, so each one keeps its own memo table
-   and no lock is ever taken on the request path.  The revision check is
-   physical equality on the space value — Workspace.space and
-   Workspace.query_space return the identical value while the on-disk
-   fingerprint is unchanged (their rebuilds are serialised under the
-   workspace memo lock), so a rolled fingerprint changes the value and
-   every domain rebuilds its env lazily on next use.  Each root keeps a
-   short MRU list rather than one slot, because a paged tenant serves
-   several routed group spaces concurrently (one per anchor group) and a
-   single slot would thrash between them.  N tenants x N domains idle
-   envs are the price of lock-free reads; envs are a few closures over
-   the space, not copies of the data. *)
-let env_memo_width = 8
-
-let env_memos :
-    (string, (Federation.t * Mediator.env) list) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 4)
-
-let env_for ws space =
-  let tbl = Domain.DLS.get env_memos in
-  let key = Workspace.root ws in
-  let entries = Option.value ~default:[] (Hashtbl.find_opt tbl key) in
-  match List.find_opt (fun (s, _) -> s == space) entries with
-  | Some (_, env) ->
-      (* Move to front so the width bound evicts the coldest space. *)
-      let rest = List.filter (fun (s, _) -> not (s == space)) entries in
-      Hashtbl.replace tbl key ((space, env) :: rest);
-      env
-  | None ->
-      let kbs =
-        List.map
-          (fun o ->
-            Kb.of_ontology_instances ~ontology:o ("kb-" ^ Ontology.name o))
-          space.Federation.sources
-      in
-      let env = Mediator.env_federated ~kbs ~space () in
-      let entries =
-        List.filteri (fun i _ -> i < env_memo_width - 1) entries
-      in
-      Hashtbl.replace tbl key ((space, env) :: entries);
-      env
-
 let health_warnings health =
   if Health.ok health then []
   else
@@ -205,26 +162,23 @@ let health_warnings health =
       (fun i -> Format.asprintf "%a" Health.pp_issue i)
       health.Health.issues
 
-(* Queries go through Workspace.query_space: on a paged tenant the
-   anchor label routes to its articulation group and only that group is
-   decoded.  The default ontology must come from the FULL workspace
-   (Workspace.default_ontology), not the routed space's own primary
-   articulation — otherwise restricting the space would change how a
-   bare concept in the query text parses.  Reply warnings cover the
-   parts actually serving the routed space plus store-level strays;
-   the status/health ops still scan the whole workspace. *)
+(* Queries go through Workspace.query_env: on a paged tenant the
+   anchor label routes to its articulation group, and that group's
+   space, its one shared mediator env and the default ontology all come
+   from the workspace's snapshot of the current manifest — the server
+   keeps no env memo of its own.  The default ontology is the FULL
+   workspace's, not the routed space's own primary articulation —
+   otherwise restricting the space would change how a bare concept in
+   the query text parses.  Reply warnings cover the parts actually
+   serving the routed space plus store-level strays; the status/health
+   ops still scan the whole workspace. *)
 let run_query ws text =
   if String.trim text = "" then Protocol.error "query: empty query text"
   else
-    match Workspace.query_space ws text with
+    match Workspace.query_env ws text with
     | Error m -> Protocol.error ("workspace: " ^ m)
-    | Ok (space, health) -> (
-        let env = env_for ws space in
-        match
-          Mediator.run_text
-            ?default_ontology:(Workspace.default_ontology ws)
-            env text
-        with
+    | Ok { Workspace.env; health; default_ontology } -> (
+        match Mediator.run_text ?default_ontology env text with
         | Ok report ->
             Protocol.ok
               ~warnings:(health_warnings health)
@@ -389,8 +343,9 @@ let breakers_json ws =
   in
   "[" ^ String.concat ", " (List.map one (Workspace.breakers ws)) ^ "]"
 
-(* Per-tenant view: admission pressure, breaker state and block-cache
-   residency, one object per configured workspace. *)
+(* Per-tenant view: admission pressure, breaker state, block-cache
+   residency and resident mediator envs, one object per configured
+   workspace. *)
 let workspaces_json t =
   let str s = "\"" ^ Status_json.escape s ^ "\"" in
   let shed = Admission.shed_by_tenant t.admission in
@@ -398,25 +353,30 @@ let workspaces_json t =
     let bc = Workspace.block_stats ws in
     Printf.sprintf
       "{ \"name\": %s, \"queued\": %d, \"shed\": %d, \"breakers\": %s, \
-       \"block_cache\": { \"entries\": %d, \"bytes\": %d } }"
+       \"block_cache\": { \"entries\": %d, \"bytes\": %d }, \"envs\": %d }"
       (str name)
       (Admission.tenant_depth t.admission name)
       (Option.value (List.assoc_opt name shed) ~default:0)
       (breakers_json ws) bc.Block_cache.entries bc.Block_cache.bytes
+      (Workspace.resident_envs ws)
   in
   "[" ^ String.concat ", " (List.map one t.tenants) ^ "]"
 
-(* Process-wide segment-store counters: lifetime block-cache traffic
-   (the "store.*" plan counters survive Cache_stats.clear_all) plus
-   current residency against the byte budget. *)
+(* Process-wide segment-store counters: lifetime block-cache traffic,
+   routing-snapshot builds and shard decodes (the "store.*" plan
+   counters survive Cache_stats.clear_all) plus current residency
+   against the byte budget. *)
 let store_json () =
   let count name =
     Option.value ~default:0 (List.assoc_opt name (Cache_stats.plan_counts ()))
   in
   Printf.sprintf
-    "{ \"segments_loaded\": %d, \"block_hits\": %d, \"block_misses\": %d, \
+    "{ \"segments_loaded\": %d, \"route_snapshots\": %d, \
+     \"shard_decodes\": %d, \"block_hits\": %d, \"block_misses\": %d, \
      \"block_evictions\": %d, \"bytes_resident\": %d, \"budget_bytes\": %d }"
     (count "store.segment_load")
+    (count "store.route_snapshot")
+    (count "store.shard_decode")
     (count "store.block_hit")
     (count "store.block_miss")
     (count "store.block_evict")

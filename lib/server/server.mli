@@ -32,9 +32,10 @@
     N workers run N requests truly in parallel — while replies are
     written back by the owning connection thread.  Request compute fans
     out further through the persistent {!Domain_pool} (spawned eagerly
-    at {!create}).  Mediator environments are memoised {e per domain}
-    keyed on the workspace's space value, so the request path takes no
-    environment lock.  Control ops ([ping], [stats], [shutdown]) answer
+    at {!create}).  Mediator environments live with the workspace's
+    space memo ({!Workspace.query_env}): one env per served space,
+    shared by every worker domain and freed when the manifest or files
+    it was built from change.  Control ops ([ping], [stats], [shutdown]) answer
     inline so the daemon stays observable and stoppable under
     saturation.  A full queue sheds load with an explicit [busy] reply
     carrying the queue depth and a retry hint.

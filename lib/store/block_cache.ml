@@ -161,21 +161,22 @@ let find_or_compute c ~group key f =
 
 let mem c key = locked c @@ fun () -> Hashtbl.mem c.tbl key
 
+(* Caller holds the lock. *)
+let remove_locked c key =
+  match Hashtbl.find_opt c.tbl key with
+  | None -> ()
+  | Some e ->
+      Hashtbl.remove c.tbl key;
+      c.bytes <- c.bytes - e.size
+
+let remove c key = locked c @@ fun () -> remove_locked c key
+
 let remove_group c group =
   locked c @@ fun () ->
-  let victims =
-    Hashtbl.fold
-      (fun k e acc -> if String.equal e.group group then k :: acc else acc)
-      c.tbl []
-  in
-  List.iter
-    (fun k ->
-      match Hashtbl.find_opt c.tbl k with
-      | None -> ()
-      | Some e ->
-          Hashtbl.remove c.tbl k;
-          c.bytes <- c.bytes - e.size)
-    victims
+  Hashtbl.fold
+    (fun k e acc -> if String.equal e.group group then k :: acc else acc)
+    c.tbl []
+  |> List.iter (remove_locked c)
 
 type group_stats = { entries : int; bytes : int }
 

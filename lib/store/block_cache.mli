@@ -36,6 +36,9 @@ val find_or_compute : 'v t -> group:string -> string -> (unit -> 'v) -> 'v
 
 val mem : 'v t -> string -> bool
 
+val remove : 'v t -> string -> unit
+(** Drop one entry (absent keys are ignored). *)
+
 val remove_group : 'v t -> string -> unit
 (** Drop every entry tagged with the group (fsck / invalidation). *)
 

@@ -591,12 +591,24 @@ let rebuild_shards root entries =
   in
   run_pass 0
 
+(* One shard decoded into a label -> line table, so a decoded shard
+   answers any number of lookups.  Labels are unique in a shard written
+   here; on a duplicate the first line wins. *)
+let read_shard_table root k =
+  match read_shard root k with
+  | Error m -> Error m
+  | Ok lines ->
+      let table = Hashtbl.create (List.length lines) in
+      List.iter
+        (fun l ->
+          if not (Hashtbl.mem table l.sl_label) then
+            Hashtbl.add table l.sl_label l)
+        lines;
+      Ok table
+
 (* Route one qualified label to the segment fingerprints that contain
    it, via its shard.  [None] when the label is unknown. *)
 let lookup_label root label =
-  match read_shard root (shard_of_label label) with
+  match read_shard_table root (shard_of_label label) with
   | Error m -> Error m
-  | Ok lines -> (
-      match List.find_opt (fun l -> String.equal l.sl_label label) lines with
-      | None -> Ok None
-      | Some l -> Ok (Some l))
+  | Ok table -> Ok (Hashtbl.find_opt table label)

@@ -136,6 +136,12 @@ val apply_shard_delta :
 val rebuild_shards : string -> entry list -> (unit, string) result
 (** Full rebuild from the per-segment indexes (bulk publish and fsck). *)
 
+val read_shard_table :
+  string -> int -> ((string, shard_line) Hashtbl.t, string) result
+(** Shard [k] decoded into a label -> line table (missing shard file:
+    empty table).  The paged workspace keeps these in its block cache,
+    so one decode answers every lookup until the manifest changes. *)
+
 val lookup_label : string -> string -> (shard_line option, string) result
 (** Route one qualified label through its shard; [Ok None] when the
     label is unknown to the store. *)

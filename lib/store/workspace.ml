@@ -36,6 +36,31 @@ type pending = {
   p_changes : edit_change list;
 }
 
+(* A query space paired with the one mediator environment built over it
+   on first use.  Spaces and [Mediator.env] are immutable values, so
+   every admission domain shares the env; a lost compare-and-set race
+   merely builds one duplicate that is dropped. *)
+type served_space = {
+  ss_result : space_result;
+  ss_env : Mediator.env option Atomic.t;
+}
+
+(* Everything a routed query needs from one manifest, parsed once and
+   replaced (never edited) when the manifest digest changes.  The
+   tables are filled at build time and only read afterwards, so domains
+   share them without a lock; [rs_groups] fills lazily under [rs_lock].
+   Retiring a snapshot frees its group spaces and envs with it. *)
+type route_snapshot = {
+  rs_digest : string;  (* MD5 of exactly the manifest bytes decoded *)
+  rs_entries : Segment.entry list;
+  rs_group_of_fp : (string, string) Hashtbl.t;
+      (* segment fingerprint -> its group's representative; only
+         manifest-referenced fingerprints are present *)
+  rs_default : string option;  (* [default_ontology] of these entries *)
+  rs_lock : Mutex.t;
+  rs_groups : (string, served_space) Hashtbl.t;
+}
+
 type t = {
   root : string;
   backend : backend;
@@ -45,13 +70,12 @@ type t = {
          are decoded on demand through the process-wide block cache, and
          routed queries load only the anchor's articulation group. *)
   memo_lock : Mutex.t;
-      (* Guards both memos: the daemon's admission workers are domains,
-         so concurrent requests against one workspace race on the memo
-         slots.  Rebuilds run under the lock — serialising them means
-         every domain observes the SAME physical space value for a given
-         fingerprint, which is what the per-domain env memos
-         revision-check against. *)
-  mutable space_memo : (string * space_result) option;
+      (* Guards the space and lint memos: the daemon's admission workers
+         are domains, so concurrent requests against one workspace race
+         on the memo slots.  Rebuilds run under the lock, so every
+         domain observes the SAME space value, and the same env, for a
+         given fingerprint. *)
+  mutable space_memo : (string * served_space) option;
       (* Last computed query space paired with the disk fingerprint it was
          built from: while the files under sources/ and articulations/ are
          byte-identical, [space] answers from the memo instead of
@@ -71,20 +95,15 @@ type t = {
       (* Per-source circuit breakers: a repeatedly-corrupt file is
          skipped (Health.Breaker_open) instead of re-paying read+parse
          on every scan until its cooldown elapses. *)
-  manifest_lock : Mutex.t;
-      (* Guards [manifest_memo] only.  Separate from [memo_lock] because
-         space/lint/route rebuilds (which hold memo_lock) read the
-         manifest; the manifest section never takes memo_lock, so there
-         is no cycle. *)
-  mutable manifest_memo : (string * Segment.entry list) option;
-      (* Parsed manifest keyed by the manifest file's digest. *)
-  mutable route_memo : (string * (string, space_result) Hashtbl.t) option;
-      (* Routed group spaces keyed by (manifest digest, group
-         representative), guarded by [memo_lock].  Rebuilds are
-         serialised under the lock like the full space, so every domain
-         observes the same physical Federation.t per (digest, group) —
-         the invariant the daemon's per-domain env memos revalidate
-         against. *)
+  route_lock : Mutex.t;
+      (* Serialises snapshot rebuilds.  Separate from [memo_lock]
+         because space/lint rebuilds (which hold memo_lock) read the
+         manifest; a snapshot build never takes memo_lock, so there is
+         no cycle. *)
+  route : route_snapshot option Atomic.t;
+      (* Paged: the snapshot of the manifest last seen on disk.  The
+         request path reads it with one atomic load after one manifest
+         digest. *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -102,9 +121,17 @@ type cached_part = {
   cp_bytes : int;  (* payload bytes, the cache-budget charge *)
 }
 
-let block_cache : cached_part Block_cache.t =
+(* Decoded routing shards share the budget.  Shards are rewritten in
+   place by publishes, so their keys carry the manifest digest of the
+   snapshot that decoded them: [root ^ "#" ^ digest ^ "#shard." ^ k]. *)
+type block =
+  | Part of cached_part
+  | Shard of { table : (string, Segment.shard_line) Hashtbl.t; bytes : int }
+
+let block_cache : block Block_cache.t =
   Block_cache.create ~name:"store.block"
-    ~size_of:(fun p -> p.cp_bytes + 512)
+    ~size_of:(function
+      | Part p -> p.cp_bytes + 512 | Shard s -> s.bytes + 512)
     ()
 
 let block_stats t = Block_cache.stats_for_group block_cache t.root
@@ -139,9 +166,8 @@ let make ~backend dir =
     lint_memo = None;
     pending_edits = None;
     breaker = Breaker.create ();
-    manifest_lock = Mutex.create ();
-    manifest_memo = None;
-    route_memo = None;
+    route_lock = Mutex.create ();
+    route = Atomic.make None;
   }
 
 let is_paged t = match t.backend with Paged -> true | Flat -> false
@@ -193,25 +219,81 @@ let open_ ?paged dir =
 (* Manifest access (paged backend)                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Parsed manifest memoized on the manifest file's digest: the digest
-   read is one MD5 over a small file, so every paged operation starts by
-   revalidating against the bytes actually on disk. *)
-let manifest t =
+let shard_key t digest k = Printf.sprintf "%s#%s#shard.%d" t.root digest k
+
+(* The digest is taken over the very bytes decoded, so a publish racing
+   the read can never pair one manifest's digest with another's
+   entries. *)
+let build_snapshot t =
+  let* bytes = Durable_io.read ~path:(Segment.manifest_path t.root) in
+  let* entries = Segment.decode_manifest bytes in
+  Cache_stats.record_plan "store.route_snapshot";
+  let rep_of = Segment.groups entries in
+  let group_of_fp = Hashtbl.create 64 in
+  List.iter
+    (fun (e : Segment.entry) ->
+      Hashtbl.replace group_of_fp e.Segment.fp (rep_of e.Segment.name))
+    entries;
+  let articulations =
+    List.filter_map
+      (fun (e : Segment.entry) ->
+        match e.Segment.kind with
+        | Segment.Articulation -> Some e.Segment.name
+        | Segment.Source -> None)
+      entries
+  in
+  Ok
+    {
+      rs_digest = Digest.to_hex (Digest.string bytes);
+      rs_entries = entries;
+      rs_group_of_fp = group_of_fp;
+      rs_default =
+        (match List.rev (List.sort String.compare articulations) with
+        | [] -> None
+        | n :: _ -> Some n);
+      rs_lock = Mutex.create ();
+      rs_groups = Hashtbl.create 16;
+    }
+
+(* Replace the current snapshot (caller holds [route_lock]); the
+   retired one's decoded shards leave the block cache with it. *)
+let set_route_locked t next =
+  (match Atomic.get t.route with
+  | Some old ->
+      for k = 0 to Segment.shards - 1 do
+        Block_cache.remove block_cache (shard_key t old.rs_digest k)
+      done
+  | None -> ());
+  Atomic.set t.route next
+
+(* Repairs and shard rebuilds can change routing without changing the
+   manifest bytes; they drop the snapshot so the next request re-reads. *)
+let drop_route t = Mutex.protect t.route_lock (fun () -> set_route_locked t None)
+
+(* The snapshot of the manifest currently on disk: one MD5 over a small
+   file and an atomic load on a hit; a rebuild only when the digest
+   moved. *)
+let snapshot t =
+  let current digest =
+    match Atomic.get t.route with
+    | Some s when String.equal s.rs_digest digest -> Some s
+    | _ -> None
+  in
   match Segment.manifest_digest t.root with
   | None -> Error "manifest missing"
-  | Some digest ->
-      Mutex.lock t.manifest_lock;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock t.manifest_lock)
-        (fun () ->
-          match t.manifest_memo with
-          | Some (d, entries) when String.equal d digest -> Ok entries
-          | _ -> (
-              match Segment.read_manifest t.root with
-              | Error m -> Error m
-              | Ok entries ->
-                  t.manifest_memo <- Some (digest, entries);
-                  Ok entries))
+  | Some digest -> (
+      match current digest with
+      | Some s -> Ok s
+      | None ->
+          Mutex.protect t.route_lock (fun () ->
+              match current digest with
+              | Some s -> Ok s
+              | None ->
+                  let* s = build_snapshot t in
+                  set_route_locked t (Some s);
+                  Ok s))
+
+let manifest t = Result.map (fun s -> s.rs_entries) (snapshot t)
 
 let manifest_entries t =
   match manifest t with Ok entries -> entries | Error _ -> []
@@ -278,8 +360,8 @@ let paged_load t (e : Segment.entry) =
   in
   let key = t.root ^ "#" ^ e.Segment.fp in
   match Block_cache.find_opt block_cache key with
-  | Some p -> Ok p
-  | None -> (
+  | Some (Part p) -> Ok p
+  | Some (Shard _) | None -> (
       Cache_stats.record_plan "store.segment_load";
       match Segment.read_segment t.root e.Segment.fp with
       | Error m -> Error (issue Health.Unreadable m)
@@ -320,7 +402,7 @@ let paged_load t (e : Segment.entry) =
                       cp_bytes = String.length payload }
                   in
                   if warns = [] then
-                    Block_cache.insert block_cache ~group:t.root key p;
+                    Block_cache.insert block_cache ~group:t.root key (Part p);
                   Ok p
                 in
                 (match e.Segment.kind with
@@ -467,8 +549,11 @@ let paged_publish t ~(add : staged list) ~(remove : (Segment.kind * string) list
     | Ok () -> Ok ()
     | Error _ -> Segment.rebuild_shards t.root new_entries
   in
-  (* The commit point. *)
+  (* The commit point.  The snapshot goes with it: the shard fallback
+     above rewrites routing even when the manifest bytes come out
+     identical. *)
   let* () = Segment.write_manifest t.root new_entries in
+  drop_route t;
   (* Post-commit cleanup: retired fingerprints no longer referenced. *)
   let still_referenced fp =
     List.exists (fun (e : Segment.entry) -> String.equal e.Segment.fp fp)
@@ -581,8 +666,12 @@ let rel_file t path =
     String.sub path lp (String.length path - lp)
   else path
 
-let classify_paged_raw t kind name =
-  match paged_entry t kind name with
+(* [entry] pins the manifest entry (a routed build classifies its
+   snapshot's entries); by default the current manifest names it. *)
+let classify_paged_raw ?entry t kind name =
+  match
+    match entry with Some _ -> entry | None -> paged_entry t kind name
+  with
   | None ->
       Error
         {
@@ -666,11 +755,11 @@ let classify_source_raw_flat t name =
                       ] )
               | _ -> Ok (o, []))))
 
-let classify_source_raw t name =
+let classify_source_raw ?entry t name =
   match t.backend with
   | Flat -> classify_source_raw_flat t name
   | Paged -> (
-      match classify_paged_raw t Segment.Source name with
+      match classify_paged_raw ?entry t Segment.Source name with
       | Error issue -> Error issue
       | Ok (`Source o, warns) -> Ok (o, warns)
       | Ok (`Articulation _, _) ->
@@ -696,7 +785,7 @@ let classify_with_breaker t ~key ~skip_issue classify =
         Breaker.record_failure t.breaker key ~detail:issue.Health.detail;
         Error issue
 
-let classify_source t name =
+let classify_source ?entry t name =
   let key = "source:" ^ name in
   classify_with_breaker t ~key
     ~skip_issue:(fun () ->
@@ -707,7 +796,7 @@ let classify_source t name =
         kind = Health.Breaker_open;
         detail = Breaker.skip_detail t.breaker key;
       })
-    (fun () -> classify_source_raw t name)
+    (fun () -> classify_source_raw ?entry t name)
 
 let breakers t = Breaker.snapshot t.breaker
 
@@ -831,11 +920,11 @@ let classify_articulation_raw_flat t name =
                   ] )
           | _ -> Ok (a, [])))
 
-let classify_articulation_raw t name =
+let classify_articulation_raw ?entry t name =
   match t.backend with
   | Flat -> classify_articulation_raw_flat t name
   | Paged -> (
-      match classify_paged_raw t Segment.Articulation name with
+      match classify_paged_raw ?entry t Segment.Articulation name with
       | Error issue -> Error issue
       | Ok (`Articulation a, warns) -> Ok (a, warns)
       | Ok (`Source _, _) ->
@@ -848,7 +937,7 @@ let classify_articulation_raw t name =
               detail = "segment kind mismatch";
             })
 
-let classify_articulation t name =
+let classify_articulation ?entry t name =
   let key = "articulation:" ^ name in
   classify_with_breaker t ~key
     ~skip_issue:(fun () ->
@@ -859,7 +948,7 @@ let classify_articulation t name =
         kind = Health.Breaker_open;
         detail = Breaker.skip_detail t.breaker key;
       })
-    (fun () -> classify_articulation_raw t name)
+    (fun () -> classify_articulation_raw ?entry t name)
 
 let load_articulations t =
   List.fold_left
@@ -941,7 +1030,9 @@ let commit p =
       in
       let entries = List.filter (fun e -> not (superseded e)) existing @ staged in
       let* () = Segment.rebuild_shards t.root entries in
-      Segment.write_manifest t.root entries
+      let* () = Segment.write_manifest t.root entries in
+      drop_route t;
+      Ok ()
 
 let articulate ?conversions t ~left ~right ~name ~rules =
   let* left_o = load_source t left in
@@ -1112,25 +1203,25 @@ let compute_space t =
   | space -> Ok (space, health)
   | exception Invalid_argument m -> Error m
 
-let space t =
-  if not (Cache_stats.enabled ()) then compute_space t
-  else begin
-    (* Fingerprinting reads the disk and needs no lock; the memo check
-       and any rebuild run under it, so concurrent domains missing on
-       the same rollover compute the space once and all observe the
-       same physical value. *)
+let served result = { ss_result = result; ss_env = Atomic.make None }
+
+(* The full federation with its env slot.  Fingerprinting reads the disk
+   and needs no lock; the memo check and any rebuild run under it, so
+   concurrent domains missing on the same rollover compute the space
+   once and all observe the same value. *)
+let full_space t =
+  if not (Cache_stats.enabled ()) then served (compute_space t)
+  else
     let fp = fingerprint t in
-    Mutex.lock t.memo_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.memo_lock)
-      (fun () ->
+    Mutex.protect t.memo_lock (fun () ->
         match t.space_memo with
-        | Some (fp', result) when String.equal fp fp' -> result
+        | Some (fp', s) when String.equal fp fp' -> s
         | _ ->
-            let result = compute_space t in
-            t.space_memo <- Some (fp, result);
-            result)
-  end
+            let s = served (compute_space t) in
+            t.space_memo <- Some (fp, s);
+            s)
+
+let space t = (full_space t).ss_result
 
 (* ------------------------------------------------------------------ *)
 (* Routed queries (paged backend)                                     *)
@@ -1148,21 +1239,14 @@ let default_ontology t =
    group's issues plus the store-level strays, so a reply still warns
    about what it serves — parts of OTHER groups are not scanned (that
    locality is the point of routing). *)
-let compute_routed_space t rep =
-  let entries = manifest_entries t in
-  let rep_of = Segment.groups entries in
-  let group =
-    List.filter
-      (fun (e : Segment.entry) -> String.equal (rep_of e.Segment.name) rep)
-      entries
-  in
+let compute_routed_space t group =
   let sources, s_issues =
     List.fold_left
       (fun (ss, is) (e : Segment.entry) ->
         match e.Segment.kind with
         | Segment.Articulation -> (ss, is)
         | Segment.Source -> (
-            match classify_source t e.Segment.name with
+            match classify_source ~entry:e t e.Segment.name with
             | Ok (o, warns) -> (ss @ [ o ], is @ warns)
             | Error issue -> (ss, is @ [ issue ])))
       ([], []) group
@@ -1173,7 +1257,7 @@ let compute_routed_space t rep =
         match e.Segment.kind with
         | Segment.Source -> (aa, is)
         | Segment.Articulation -> (
-            match classify_articulation t e.Segment.name with
+            match classify_articulation ~entry:e t e.Segment.name with
             | Ok (a, warns) -> (aa @ [ a ], is @ warns)
             | Error issue -> (aa, is @ [ issue ])))
       ([], []) group
@@ -1212,70 +1296,167 @@ let compute_routed_space t rep =
       Ok (space, health)
   | exception Invalid_argument m -> Error m
 
-let routed_space t rep =
-  if not (Cache_stats.enabled ()) then compute_routed_space t rep
-  else
-    match Segment.manifest_digest t.root with
-    | None -> compute_routed_space t rep
-    | Some digest ->
-        Mutex.lock t.memo_lock;
-        Fun.protect
-          ~finally:(fun () -> Mutex.unlock t.memo_lock)
-          (fun () ->
-            let table =
-              match t.route_memo with
-              | Some (d, table) when String.equal d digest -> table
-              | _ ->
-                  let table = Hashtbl.create 8 in
-                  t.route_memo <- Some (digest, table);
-                  table
-            in
-            match Hashtbl.find_opt table rep with
-            | Some result -> result
-            | None ->
-                let result = compute_routed_space t rep in
-                Hashtbl.add table rep result;
-                result)
+(* One shard of the snapshot, decoded at most once per manifest digest
+   and charged to the block-cache budget (approximate heap bytes).  A
+   failed read is not cached, so a transient error is retried. *)
+let shard_table t snap k =
+  let key = shard_key t snap.rs_digest k in
+  match Block_cache.find_opt block_cache key with
+  | Some (Shard s) -> Ok s.table
+  | Some (Part _) | None ->
+      Cache_stats.record_plan "store.shard_decode";
+      let* table = Segment.read_shard_table t.root k in
+      if Cache_stats.enabled () then begin
+        let bytes =
+          Hashtbl.fold
+            (fun label (l : Segment.shard_line) acc ->
+              acc + String.length label + 96 + (56 * List.length l.Segment.sl_fps))
+            table 0
+        in
+        Block_cache.insert block_cache ~group:t.root key (Shard { table; bytes })
+      end;
+      Ok table
 
-(* The space a query should run against.  Flat: the full federation.
-   Paged: parse the query, route its anchor label through the shards to
-   the one articulation group that can answer it, and page in only that
-   group.  Any routing miss (parse failure, unknown label, shards midway
-   through a crashed publish, a label spanning groups) falls back to the
-   full space — routing is an optimisation, never a filter. *)
-let query_space t text =
+(* The one group an anchor label routes to.  Only manifest-referenced
+   fingerprints count: a shard updated by a publish that has not (or
+   never) swapped its manifest must not route to orphan segments.  No
+   owner, or owners in several groups, is a routing miss. *)
+let route t snap anchor =
+  match shard_table t snap (Segment.shard_of_label anchor) with
+  | Error _ -> None
+  | Ok table -> (
+      match Hashtbl.find_opt table anchor with
+      | None -> None
+      | Some line -> (
+          match
+            List.filter_map
+              (Hashtbl.find_opt snap.rs_group_of_fp)
+              line.Segment.sl_fps
+            |> List.sort_uniq String.compare
+          with
+          | [ rep ] -> Some rep
+          | _ -> None))
+
+(* A group's served space within one snapshot, built outside the lock
+   (a duplicate build loses to the first insert, so every domain serves
+   the same value).  A later publish may already have unlinked a segment
+   this snapshot names: a build that hits an unreadable part while the
+   manifest has moved on is neither cached nor served ([None]). *)
+let group_space t snap rep =
+  let cached () =
+    if Cache_stats.enabled () then
+      Mutex.protect snap.rs_lock (fun () -> Hashtbl.find_opt snap.rs_groups rep)
+    else None
+  in
+  match cached () with
+  | Some s -> Some s
+  | None -> (
+      let group =
+        List.filter
+          (fun (e : Segment.entry) ->
+            Hashtbl.find_opt snap.rs_group_of_fp e.Segment.fp = Some rep)
+          snap.rs_entries
+      in
+      let result = compute_routed_space t group in
+      let unreadable =
+        match result with
+        | Ok (_, h) ->
+            List.exists
+              (fun (i : Health.issue) -> i.Health.kind = Health.Unreadable)
+              h.Health.issues
+        | Error _ -> true
+      in
+      if
+        unreadable
+        && Segment.manifest_digest t.root <> Some snap.rs_digest
+      then None
+      else if not (Cache_stats.enabled ()) then Some (served result)
+      else
+        Mutex.protect snap.rs_lock (fun () ->
+            match Hashtbl.find_opt snap.rs_groups rep with
+            | Some s -> Some s
+            | None ->
+                let s = served result in
+                Hashtbl.replace snap.rs_groups rep s;
+                Some s))
+
+(* The space one query runs against, and the default ontology it
+   parses under.  Flat: the full federation.  Paged: one manifest
+   digest selects the snapshot, the anchor label routes through its
+   shard to the one articulation group that can answer, and that
+   group's space is served from memory.  Any routing miss (no snapshot,
+   parse failure, unknown label, shards midway through a publish, a
+   label spanning groups, a snapshot retired under the build) falls
+   back to the full space — routing is an optimisation, never a
+   filter. *)
+let resolve t text =
   match t.backend with
-  | Flat -> space t
-  | Paged -> (
-      let fallback () = space t in
-      match Query.parse ?default_ontology:(default_ontology t) text with
-      | Error _ -> fallback ()
-      | Ok q -> (
-          let anchor = Term.qualified q.Query.concept in
-          match Segment.lookup_label t.root anchor with
-          | Error _ | Ok None -> fallback ()
-          | Ok (Some line) -> (
-              let entries = manifest_entries t in
-              (* Only manifest-referenced fingerprints count: a shard
-                 updated by a publish that crashed before its manifest
-                 swap must not route to orphan segments. *)
-              let owners =
-                List.filter
-                  (fun (e : Segment.entry) ->
-                    List.exists (String.equal e.Segment.fp) line.Segment.sl_fps)
-                  entries
-              in
-              if owners = [] then fallback ()
-              else
-                let rep_of = Segment.groups entries in
-                match
-                  List.sort_uniq String.compare
-                    (List.map
-                       (fun (e : Segment.entry) -> rep_of e.Segment.name)
-                       owners)
-                with
-                | [ rep ] -> routed_space t rep
-                | _ -> fallback ())))
+  | Flat -> (full_space t, default_ontology t)
+  | Paged ->
+      let rec attempt retries =
+        match snapshot t with
+        | Error _ -> (full_space t, None)
+        | Ok snap -> (
+            let default = snap.rs_default in
+            let rep =
+              match Query.parse ?default_ontology:default text with
+              | Error _ -> None
+              | Ok q -> route t snap (Term.qualified q.Query.concept)
+            in
+            match Option.map (group_space t snap) rep with
+            | Some (Some s) -> (s, default)
+            | Some None when retries > 0 -> attempt (retries - 1)
+            | Some None | None -> (full_space t, default))
+      in
+      attempt 2
+
+let query_space t text = (fst (resolve t text)).ss_result
+
+type served = {
+  env : Mediator.env;
+  health : Health.t;
+  default_ontology : string option;
+}
+
+let env_of_space (space : Federation.t) =
+  let kbs =
+    List.map
+      (fun o -> Kb.of_ontology_instances ~ontology:o ("kb-" ^ Ontology.name o))
+      space.Federation.sources
+  in
+  Mediator.env_federated ~kbs ~space ()
+
+let query_env t text =
+  let s, default_ontology = resolve t text in
+  match s.ss_result with
+  | Error m -> Error m
+  | Ok (space, health) ->
+      let env =
+        match Atomic.get s.ss_env with
+        | Some env -> env
+        | None ->
+            let env = env_of_space space in
+            if Atomic.compare_and_set s.ss_env None (Some env) then env
+            else Option.value ~default:env (Atomic.get s.ss_env)
+      in
+      Ok { env; health; default_ontology }
+
+let resident_envs t =
+  let has s = Option.is_some (Atomic.get s.ss_env) in
+  let routed =
+    match Atomic.get t.route with
+    | None -> 0
+    | Some snap ->
+        Mutex.protect snap.rs_lock (fun () ->
+            Hashtbl.fold
+              (fun _ s n -> if has s then n + 1 else n)
+              snap.rs_groups 0)
+  in
+  let full =
+    Mutex.protect t.memo_lock (fun () ->
+        match t.space_memo with Some (_, s) when has s -> 1 | _ -> 0)
+  in
+  routed + full
 
 let stale_bridges t =
   let sources, _ = load_sources t in
@@ -1793,6 +1974,26 @@ let fsck_paged t =
            match Atomic_io.remove (segs / f) with
            | () -> push (Removed_orphan { file = rel_file t (segs / f) })
            | exception Sys_error _ -> ());
+  (* 2b. Routing shards that fail their stamp or no longer decode are
+     quarantined; any repair triggers the shard rebuild in step 6,
+     which rewrites them from the per-segment indexes. *)
+  for k = 0 to Segment.shards - 1 do
+    let path = Segment.shard_path t.root k in
+    if Sys.file_exists path then
+      let reason =
+        match Durable_io.verify_file ~path () with
+        | Error m -> Some ("unreadable routing shard: " ^ m)
+        | Ok (Durable_io.Mismatch _) -> Some "routing shard fails its checksum"
+        | Ok (Durable_io.Verified | Durable_io.Unstamped) -> (
+            match Segment.read_shard t.root k with
+            | Error m -> Some ("undecodable routing shard: " ^ m)
+            | Ok _ -> None)
+      in
+      Option.iter
+        (fun reason ->
+          List.iter push (List.rev (quarantine_with_sidecar t path ~reason [])))
+        reason
+  done;
   (* 3. The manifest itself: unreadable or missing means reconstructing
      the name map from the decodable segments on disk (first fingerprint
      wins on a duplicate name — crash debris can leave two). *)
@@ -2013,13 +2214,11 @@ let fsck t =
     t.space_memo <- None;
     t.lint_memo <- None;
     t.pending_edits <- None;
-    t.route_memo <- None;
     Mutex.unlock t.memo_lock;
-    Mutex.lock t.manifest_lock;
-    t.manifest_memo <- None;
-    Mutex.unlock t.manifest_lock;
-    (* Decoded segments of quarantined fingerprints must not keep
-       serving from the block cache. *)
+    drop_route t;
+    (* Decoded segments of quarantined fingerprints, and shards decoded
+       before the rebuild, must not keep serving from the block
+       cache. *)
     Block_cache.remove_group block_cache t.root;
     (* Repaired files deserve a fresh chance: open circuits would skip
        the very loads the repair just fixed. *)

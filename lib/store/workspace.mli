@@ -172,7 +172,15 @@ val query_space : t -> string -> (Federation.t * Health.t, string) result
     group plus store-level strays — not parts of other groups.  Any
     routing miss (parse failure, unknown label, mid-publish shards)
     falls back to the full space: routing is an optimisation, never a
-    filter. *)
+    filter.
+
+    Routing state lives in one immutable snapshot per manifest digest:
+    the parsed entries, the group map, the default ontology, shards
+    decoded on first use (charged to the block-cache budget, plan
+    counter ["store.shard_decode"]) and each group's space.  A request
+    costs one manifest digest and answers from memory; a new digest
+    builds a new snapshot (["store.route_snapshot"]) and frees the old
+    one.  {!fsck} repairs and bulk commits drop it. *)
 
 val default_ontology : t -> string option
 (** The ontology a bare query concept is qualified against — matches
@@ -180,6 +188,27 @@ val default_ontology : t -> string option
     parsing agrees with in-memory parsing.  Pass to
     [Mediator.run_text ?default_ontology] when running against
     {!query_space}. *)
+
+type served = {
+  env : Mediator.env;  (** Over the space {!query_space} returns. *)
+  health : Health.t;
+  default_ontology : string option;  (** As {!default_ontology}. *)
+}
+
+val query_env : t -> string -> (served, string) result
+(** Everything needed to answer one query text: {!query_space}'s
+    space wrapped in its mediator environment, and the default
+    ontology, all read from one manifest snapshot (paged) or one
+    fingerprint (flat).  Each space carries a single env, built on
+    first use and shared by every domain; it lives exactly as long as
+    the space's memo entry, so a superseded manifest's envs are freed
+    with it.  Honours [Cache_stats.enabled] (disabled: built fresh per
+    call). *)
+
+val resident_envs : t -> int
+(** Environments currently held by this handle: at most one per
+    articulation group served since the manifest last changed, plus one
+    for the full space. *)
 
 val breakers : t -> Breaker.info list
 (** The per-source circuit breakers' current state (empty until a load
@@ -247,7 +276,8 @@ type repair =
   | Quarantined of { file : string; to_ : string; reason : string }
       (** Moved into [quarantine/] (torn tmp files, unreadable or
           unparseable payloads and their sidecars; paged: segments whose
-          bytes no longer hash to their manifest fingerprint).
+          bytes no longer hash to their manifest fingerprint, and routing
+          shards that fail their stamp or do not decode).
           Quarantine preserves evidence; nothing is ever deleted
           outright except orphans. *)
   | Restamped of { file : string; reason : string }
@@ -279,9 +309,10 @@ val fsck : t -> fsck_report
     payloads, drop orphan sidecars, re-stamp parseable files; on the
     paged backend additionally verify every segment against its
     manifest fingerprint (streaming, without buffering payloads),
-    quarantine corrupt segments and drop their entries, remove orphan
-    segments, rebuild missing indexes, re-publish the manifest and
-    rebuild the routing shards.  Any repair invalidates the global
+    quarantine corrupt segments and drop their entries, quarantine
+    routing shards that fail their stamp or do not decode, remove
+    orphan segments, rebuild missing indexes, re-publish the manifest
+    and rebuild the routing shards.  Any repair invalidates the global
     result caches ([Cache_stats.clear_all]), this workspace's memos and
     its block-cache residency, since cached results may refer to
     pre-repair revisions. *)

@@ -256,6 +256,210 @@ let test_crc_streaming () =
     (verdict_of (Durable_io.read_verified ~path)
     = streamed (Durable_io.verify_file ~chunk_bytes:512 ~path ()))
 
+(* What the daemon sends for a query, as (warnings, body):
+   [Workspace.query_env] supplies the space's shared env, its health and
+   the default ontology. *)
+let served_reply ws text =
+  match Workspace.query_env ws text with
+  | Error m -> ([], "workspace: " ^ m)
+  | Ok { Workspace.env; health; default_ontology } -> (
+      ( List.map
+          (fun i -> Format.asprintf "%a" Health.pp_issue i)
+          health.Health.issues,
+        match Mediator.run_text ?default_ontology env text with
+        | Ok report -> Format.asprintf "%a" Mediator.pp_report report
+        | Error m -> "query error: " ^ m ))
+
+(* The same reply from a fresh handle with every cache off: no snapshot,
+   shard table, group space or env survives from earlier requests. *)
+let cold_reply ws text =
+  Cache_stats.with_disabled (fun () ->
+      served_reply (Result.get_ok (Workspace.open_ (Workspace.root ws))) text)
+
+let live_groups root =
+  match Segment.read_manifest root with
+  | Error m -> Alcotest.failf "manifest: %s" m
+  | Ok entries ->
+      let rep_of = Segment.groups entries in
+      List.sort_uniq String.compare
+        (List.map (fun (e : Segment.entry) -> rep_of e.Segment.name) entries)
+      |> List.length
+
+let edit_islands = 4
+let edit_terms = 8
+
+(* One paged federation edited further by every case, so the snapshot
+   path is exercised across a long chain of manifests.  Edits go through
+   a second handle, as from another process: the serving handle sees
+   them only as a new manifest digest. *)
+let with_edited_federation =
+  let state = ref None in
+  fun f ->
+    let handles =
+      match !state with
+      | Some handles -> handles
+      | None ->
+          let dir, ws =
+            build ~paged:true ~islands:edit_islands ~terms:edit_terms ~seed:11
+          in
+          at_exit (fun () -> if Sys.file_exists dir then rm dir);
+          let handles = (ws, Result.get_ok (Workspace.open_ dir)) in
+          state := Some handles;
+          handles
+    in
+    f handles
+
+let edit_case =
+  let open QCheck.Gen in
+  let node =
+    oneof [ oneofl (Gen.concept_pool edit_terms); oneofl [ "zz0"; "zz1" ] ]
+  in
+  let edge =
+    map3
+      (fun src label dst -> { Digraph.src; label; dst })
+      node
+      (oneofl [ Rel.subclass_of; Rel.attribute_of; "x" ])
+      node
+  in
+  let op =
+    oneof
+      [
+        map (fun n -> Transform.Add_node (n, [])) node;
+        map (fun n -> Transform.Delete_node n) node;
+        map (fun e -> Transform.Add_edges [ e ]) edge;
+        map (fun e -> Transform.Delete_edges [ e ]) edge;
+      ]
+  in
+  QCheck.make
+    ~print:(fun (src, ops) ->
+      Printf.sprintf "src%d: %s" src
+        (String.concat "; " (List.map Transform.to_string ops)))
+    (pair (int_range 0 (edit_islands - 1)) (list_size (int_range 1 3) op))
+
+(* Anchored on every island (some anchors vanish under deletes and fall
+   back to the full space), plus one bare concept parsed under the
+   default ontology. *)
+let sampled_queries =
+  "SELECT * FROM Car"
+  :: List.concat_map
+       (fun k ->
+         List.map
+           (fun c ->
+             Printf.sprintf "SELECT * FROM %s:%s"
+               (Gen.federation_source_name "src" k)
+               c)
+           [ Gen.concept_name 0; Gen.concept_name (k + 1) ])
+       (List.init edit_islands Fun.id)
+
+let prop_edits_serve_like_cold =
+  QCheck.Test.make ~count:60
+    ~name:"after each edit, snapshot replies = cold replies; envs bounded"
+    edit_case
+    (fun (src, ops) ->
+      with_edited_federation (fun (ws, writer) ->
+          (match
+             Workspace.edit writer
+               ~source:(Gen.federation_source_name "src" src)
+               ops
+           with
+          | Ok _ -> ()
+          | Error m -> Alcotest.failf "edit: %s" m);
+          List.iter
+            (fun text ->
+              let show (warnings, body) = String.concat "\n" (warnings @ [ body ]) in
+              let served = served_reply ws text and cold = cold_reply ws text in
+              if served <> cold then
+                QCheck.Test.fail_reportf "%s\nserved:\n%s\ncold:\n%s" text
+                  (show served) (show cold))
+            sampled_queries;
+          (* At most one env per live group, plus the full space's for
+             the queries that fell back — no matter how many manifests
+             came before. *)
+          let envs = Workspace.resident_envs ws
+          and bound = live_groups (Workspace.root ws) + 1 in
+          if envs > bound then
+            QCheck.Test.fail_reportf "%d envs resident, bound %d" envs bound;
+          true))
+
+let plan_count name =
+  Option.value ~default:0 (List.assoc_opt name (Cache_stats.plan_counts ()))
+
+(* Damage under a routed query: a routing shard lost or corrupted (the
+   anchor's queries fall back to the full space) or a stale stamp on the
+   anchor's segment (the routed reply warns).  fsck must repair it and
+   drop every cached view of the old state — the snapshot's group space
+   and the decoded shards — after which the query routes again, with
+   the full space's reply and no warning. *)
+let test_fsck_restores_routing () =
+  let onto = Gen.federation_source_name "src" 1 and concept = Gen.concept_name 2 in
+  let text = Printf.sprintf "SELECT * FROM %s:%s" onto concept in
+  let shard dir =
+    Segment.shard_path dir (Segment.shard_of_label (onto ^ ":" ^ concept))
+  in
+  let segment_sidecar dir =
+    match Segment.read_manifest dir with
+    | Error m -> Alcotest.failf "manifest: %s" m
+    | Ok entries ->
+        let e =
+          List.find
+            (fun (e : Segment.entry) -> String.equal e.Segment.name onto)
+            entries
+        in
+        Durable_io.sidecar_path (Segment.seg_path dir e.Segment.fp)
+  in
+  let overwrite bytes path =
+    let oc = open_out_bin path in
+    output_string oc bytes;
+    close_out oc
+  in
+  let damages =
+    [
+      ("deleted shard", true, fun dir -> Sys.remove (shard dir));
+      ( "corrupted shard",
+        true,
+        fun dir -> overwrite "\xff not a shard \xff" (shard dir) );
+      ( "stale segment stamp",
+        false,
+        fun dir -> overwrite "crc32 00000000 size 1\n" (segment_sidecar dir) );
+    ]
+  in
+  let store () = build ~paged:true ~islands:4 ~terms:12 ~seed:5 in
+  let full =
+    let dir, ws = store () in
+    Fun.protect ~finally:(fun () -> rm dir) (fun () -> snd (cold_reply ws text))
+  in
+  List.iter
+    (fun (what, shard_damage, damage) ->
+      (* A fresh store per case, damaged before its first read: the block
+         cache must not hold anything decoded from the undamaged files. *)
+      let dir, ws = store () in
+      Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm dir)
+      @@ fun () ->
+      let sources ws =
+        match Workspace.query_space ws text with
+        | Ok (space, _) -> List.length space.Federation.sources
+        | Error m -> Alcotest.failf "query_space: %s" m
+      in
+      damage dir;
+      let all = List.length (Workspace.source_names ws) in
+      let warnings, body = served_reply ws text in
+      check_bool (what ^ ": reply body before fsck") true (String.equal full body);
+      if shard_damage then
+        check_int (what ^ ": falls back to the full space") all (sources ws)
+      else
+        (* The routed group space now caches this warning. *)
+        check_bool (what ^ ": routed reply warns") true (warnings <> []);
+      let report = Workspace.fsck ws in
+      check_bool (what ^ ": fsck repaired") true (report.Workspace.repairs <> []);
+      let decodes = plan_count "store.shard_decode" in
+      check_bool (what ^ ": routes to one group again") true (sources ws < all);
+      if shard_damage then
+        check_bool (what ^ ": shard decoded afresh") true
+          (plan_count "store.shard_decode" > decodes);
+      check_bool (what ^ ": routed reply = full-space reply") true
+        (served_reply ws text = ([], full)))
+    damages
+
 let suite =
   [
     ( "paged-equiv",
@@ -265,11 +469,14 @@ let suite =
           prop_query_reports_equal;
           prop_lint_equal;
           prop_clean_fsck;
+          prop_edits_serve_like_cold;
         ]
       @ [
           Alcotest.test_case "corrupt segment degrades then quarantines"
             `Quick test_corrupt_segment_degrades;
           Alcotest.test_case "crc32 streaming = one-shot" `Quick
             test_crc_streaming;
+          Alcotest.test_case "fsck restores routing after shard damage" `Quick
+            test_fsck_restores_routing;
         ] );
   ]

@@ -707,7 +707,11 @@ let test_serve_unknown_workspace () =
       check_bool "stats lists the tenants" true
         (contains r.Protocol.body "\"workspaces\""
         && contains r.Protocol.body "\"default\""
-        && contains r.Protocol.body "\"second\""))
+        && contains r.Protocol.body "\"second\"");
+      check_bool "stats counts snapshots, shard decodes and envs" true
+        (contains r.Protocol.body "\"route_snapshots\": "
+        && contains r.Protocol.body "\"shard_decodes\": "
+        && contains r.Protocol.body "\"envs\": "))
 
 let test_serve_breaker_fsck_isolation () =
   with_served_two_workspaces (fun (ws_a, ws_b) _server address ->
