@@ -839,28 +839,25 @@ let emit_match_json ~path rows ~families ~domains ~fanout_seq ~fanout_par
     (fun () ->
       let result_objs =
         List.map
-          (fun (op, reference, indexed, speedup) ->
+          (fun (op, reference, find, speedup) ->
             Printf.sprintf
-              "    { \"op\": \"%s\", \"reference_ns\": %s, \"indexed_ns\": %s, \
+              "    { \"op\": \"%s\", \"reference_ns\": %s, \"find_ns\": %s, \
                \"speedup\": %s }"
-              (json_escape op) (json_float reference) (json_float indexed)
+              (json_escape op) (json_float reference) (json_float find)
               (json_float speedup))
           rows
       in
       let family_objs =
         List.map
-          (fun (name, reference, naive, indexed, adaptive, plan) ->
-            let best = Float.min naive indexed in
+          (fun (name, reference, cold, warm) ->
             Printf.sprintf
-              "    { \"family\": \"%s\", \"reference_ns\": %s, \"naive_ns\": \
-               %s, \"indexed_ns\": %s, \"adaptive_ns\": %s, \
-               \"best_fixed_ns\": %s, \"adaptive_over_best\": %s, \
-               \"vs_naive\": %s, \"plan\": \"%s\" }"
-              (json_escape name) (json_float reference) (json_float naive)
-              (json_float indexed) (json_float adaptive) (json_float best)
-              (json_float (adaptive /. best))
-              (json_float (reference /. adaptive))
-              (json_escape plan))
+              "    { \"family\": \"%s\", \"reference_ns\": %s, \"cold_ns\": \
+               %s, \"warm_ns\": %s, \"cold_vs_reference\": %s, \
+               \"warm_vs_reference\": %s }"
+              (json_escape name) (json_float reference) (json_float cold)
+              (json_float warm)
+              (json_float (reference /. cold))
+              (json_float (reference /. warm)))
           families
       in
       output_string oc "{\n  \"benchmark\": \"match\",\n  \"results\": [\n";
@@ -881,8 +878,8 @@ let emit_match_json ~path rows ~families ~domains ~fanout_seq ~fanout_par
 let match_ () =
   section "MATCH"
     "cold-path matching: naive whole-graph scan (pre-index reference) vs \
-     index-anchored search, caches cleared every run; federation fan-out \
-     at 1 vs N domains";
+     Matcher.find, caches cleared every run; per family also with the \
+     label index warm; federation fan-out at 1 vs N domains";
   let chain = Pattern_parser.parse_exn "?X -[SubclassOf]-> ?Y -[SubclassOf]-> ?Z" in
   let pair = Pattern_parser.parse_exn "?X -[SubclassOf]-> ?Y" in
   let cold_ns op =
@@ -903,13 +900,13 @@ let match_ () =
     | [ (_, e) ] -> e
     | _ -> Float.nan
   in
-  let measure name ~reference ~indexed =
+  let measure name ~reference ~find =
     let r = plain_ns reference in
-    let i = cold_ns indexed in
-    let speedup = r /. i in
-    row "%-42s naive %a  indexed %a  speedup %6.1fx" name pp_time r pp_time i
+    let f = cold_ns find in
+    let speedup = r /. f in
+    row "%-42s naive %a  find %a  speedup %6.1fx" name pp_time r pp_time f
       speedup;
-    (name, r, i, speedup)
+    (name, r, f, speedup)
   in
   let per_size n =
     let o = Gen.ontology ~profile:(profile n) ~seed:17 ~name:"g" () in
@@ -938,13 +935,13 @@ let match_ () =
     [
       measure (Printf.sprintf "matcher.find wildcard-pair n=%d" n)
         ~reference:(fun () -> ignore (Matcher_reference.find ~limit:100 pair g))
-        ~indexed:(fun () -> ignore (Matcher.find ~limit:100 pair g));
+        ~find:(fun () -> ignore (Matcher.find ~limit:100 pair g));
       measure (Printf.sprintf "matcher.find wildcard-chain n=%d" n)
         ~reference:(fun () -> ignore (Matcher_reference.find ~limit:100 chain g))
-        ~indexed:(fun () -> ignore (Matcher.find ~limit:100 chain g));
+        ~find:(fun () -> ignore (Matcher.find ~limit:100 chain g));
       measure (Printf.sprintf "matcher.find labeled-anchor n=%d" n)
         ~reference:(fun () -> ignore (Matcher_reference.find labeled g))
-        ~indexed:(fun () -> ignore (Matcher.find labeled g));
+        ~find:(fun () -> ignore (Matcher.find labeled g));
     ]
   in
   let rows = List.concat_map per_size [ 200; 600; 2000 ] in
@@ -964,47 +961,39 @@ let match_ () =
     @ [
         measure "filter_extract.filter n=600"
           ~reference:reference_filter
-          ~indexed:(fun () -> ignore (Filter_extract.filter o600 chain));
+          ~find:(fun () -> ignore (Filter_extract.filter o600 chain));
       ]
   in
-  (* Adaptive never-worse families: for each pattern family, time both
-     fixed strategies and the planner-driven find, all equally cold
-     (clear_all inside every thunk), and record the plan the cost model
-     picks.  The gate: adaptive <= 1.15x the best fixed strategy.
+  (* Per pattern family: the naive reference, Matcher.find cold (every
+     cache cleared, so unanchored nodes scan the node list) and
+     Matcher.find warm (the label index memoized, only the result cache
+     cleared, so unanchored nodes may seed from a label bucket).
 
      The families run in microseconds, where a single OLS estimate can
      drift 20% with scheduler noise; each op therefore takes the minimum
-     of three independent estimates (the classic noise-robust floor),
-     so the gate compares true costs, not jitter. *)
-  let cold_ns_min op =
+     of three independent estimates (the classic noise-robust floor). *)
+  let min3 measure op =
     List.fold_left Float.min Float.infinity
-      (List.init 3 (fun _ -> cold_ns op))
+      (List.init 3 (fun _ -> measure op))
   in
   let family name ?(limit = 100) pattern graph =
-    let fixed strategy () =
-      ignore (Matcher.find_fixed ~strategy ~limit pattern graph)
-    in
+    let find () = ignore (Matcher.find ~limit pattern graph) in
     let reference =
-      cold_ns_min (fun () ->
+      min3 cold_ns (fun () ->
           ignore (Matcher_reference.find ~limit pattern graph))
     in
-    let naive = cold_ns_min (fixed Plan_cost.Naive) in
-    let indexed = cold_ns_min (fixed Plan_cost.Indexed) in
-    let adaptive =
-      cold_ns_min (fun () -> ignore (Matcher.find ~limit pattern graph))
-    in
+    let cold = min3 cold_ns find in
     Cache_stats.clear_all ();
-    let plan =
-      Plan_cost.strategy_name
-        (Plan_cost.plan ~limit pattern graph).Plan_cost.strategy
+    ignore (Label_index.of_graph graph);
+    let warm =
+      min3 plain_ns (fun () ->
+          ignore (Cache_stats.clear "matcher.find");
+          find ())
     in
-    row
-      "family %-16s ref %a  naive %a  indexed %a  adaptive %a  plan=%s \
-       (%.2fx best)"
-      name pp_time reference pp_time naive pp_time indexed pp_time adaptive
-      plan
-      (adaptive /. Float.min naive indexed);
-    (name, reference, naive, indexed, adaptive, plan)
+    row "family %-16s ref %a  cold %a  warm %a  (%.1fx / %.1fx vs ref)" name
+      pp_time reference pp_time cold pp_time warm (reference /. cold)
+      (reference /. warm);
+    (name, reference, cold, warm)
   in
   let o2000 = Gen.ontology ~profile:(profile 2000) ~seed:17 ~name:"g" () in
   let g2000 = Ontology.graph o2000 in
@@ -1056,6 +1045,20 @@ let match_ () =
         ]
       ()
   in
+  (* Rare label: a 2000-node chain of common "S" edges plus ONE "R" edge.
+     A wildcard-led [?X -[R]-> ?Y] scans every node cold; warm, ?X seeds
+     from R's one-element bucket. *)
+  let rare_graph =
+    Digraph.of_edges
+      ({ Digraph.src = "rsrc"; label = "R"; dst = "rdst" }
+      :: List.init 1997 (fun i ->
+             {
+               Digraph.src = Printf.sprintf "s%d" i;
+               label = "S";
+               dst = Printf.sprintf "s%d" (i + 1);
+             }))
+  in
+  let rare = Pattern_parser.parse_exn "?X -[R]-> ?Y" in
   let families =
     [
       family "labeled-anchor" labeled2000 g2000;
@@ -1063,6 +1066,7 @@ let match_ () =
       (* The matching work inside Filter_extract.filter: unlimited chain. *)
       family "filter" ~limit:100_000 chain g600;
       family "dense-mesh" triangle mesh;
+      family "rare-label" rare rare_graph;
     ]
   in
   (* Federation fan-out: qualifying and unioning K mid-size sources —
@@ -1118,19 +1122,15 @@ let match_ () =
         (if s >= 5.0 then "(>= 5x: PASS)" else "(< 5x: FAIL)")
   | None -> ());
   List.iter
-    (fun (name, _ref, naive, indexed, adaptive, _plan) ->
-      let r = adaptive /. Float.min naive indexed in
-      row "family %-16s adaptive/best-fixed: %.2fx %s" name r
-        (if r <= 1.15 then "(<= 1.15x: PASS)" else "(> 1.15x: FAIL)"))
-    families;
-  match
-    List.find_opt (fun (n, _, _, _, _, _) -> n = "labeled-anchor") families
-  with
-  | Some (_, reference, _, _, adaptive, _) ->
-      let s = reference /. adaptive in
-      row "labeled-anchor adaptive vs naive reference: %.2fx %s" s
-        (if s >= 1.0 then "(>= 1.0x: PASS)" else "(< 1.0x: FAIL)")
-  | None -> ()
+    (fun (name, reference, cold, warm) ->
+      let s = reference /. cold in
+      row "family %-16s cold vs reference: %.2fx %s" name s
+        (if s >= 1.0 then "(>= 1.0x: PASS)" else "(< 1.0x: FAIL)");
+      if String.equal name "rare-label" then
+        let w = reference /. warm in
+        row "family %-16s warm vs reference: %.1fx %s" name w
+          (if w >= 10.0 then "(>= 10x: PASS)" else "(< 10x: FAIL)"))
+    families
 
 (* ------------------------------------------------------------------ *)
 (* FAULT — durable storage: atomic writes, verified reads, fsck        *)

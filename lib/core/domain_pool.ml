@@ -9,8 +9,8 @@
    first parallel use (or explicitly at daemon start via
    {!ensure_started}) and grows monotonically up to the requested size;
    every subsequent batch re-uses the same workers, so the ~30us/domain
-   spawn cost disappears from the hot path — what Plan_cost.batch gates
-   against is now a queue push, not a spawn.
+   spawn cost disappears from the hot path — what the fan-out gate
+   ({!batch}) prices is now a queue push, not a spawn.
 
    Deadlock freedom is by construction, not by luck: the caller of
    [map] is always the batch's k-th worker and runs the same claiming
@@ -204,13 +204,58 @@ let submit_task p task =
 (* Cost-based fan-out gating                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* A caller that can estimate its per-item work (in Plan_cost units)
-   passes [?cost]; the pool then fans out only when {!Plan_cost.batch}
-   says the saved wall-clock covers the dispatch overhead — the
-   benchmarks showed small batches (eight ~400-term qualifications)
-   LOSING at two domains, and the floor keeps those sequential.
-   [with_gating false] restores unconditional fan-out so the benches can
-   time the forced-parallel shape the gate avoids. *)
+type batch_strategy = Sequential | Parallel of int
+
+type batch = {
+  batch_strategy : batch_strategy;
+  items : int;
+  per_item_cost : float;
+  domains : int;
+}
+
+let batch_strategy_name = function
+  | Sequential -> "sequential"
+  | Parallel k -> Printf.sprintf "parallel(%d)" k
+
+(* Spawning and joining a domain costs real time (minor heap setup, the
+   join barrier, cross-domain cache traffic on the shared revision
+   counter).  Calibrated against BENCH_match.json's federation fan-out,
+   where eight ~400-term qualifications (~6e3 units each) measurably
+   LOSE at two domains: the floor keeps that shape sequential and lets
+   genuinely heavy batches fan out. *)
+let spawn_cost = 30_000.0
+
+(* Fan out only when the wall-clock saved by splitting the work across k
+   domains covers every extra spawn with a 2x margin. *)
+let spawn_margin = 2.0
+
+let batch ~domains ~items ~per_item_cost =
+  let k = max 1 (min domains items) in
+  let total = float_of_int (max 0 items) *. Float.max 0.0 per_item_cost in
+  let saved = total -. (total /. float_of_int k) in
+  let batch_strategy =
+    if k <= 1 then Sequential
+    else if saved >= spawn_margin *. float_of_int (k - 1) *. spawn_cost then
+      Parallel k
+    else Sequential
+  in
+  { batch_strategy; items; per_item_cost; domains }
+
+let explain_batch b =
+  Printf.sprintf "plan: items=%d per-item%s%.3g total%s%.3g floor%s%.3g \
+                  strategy=%s"
+    b.items "\xe2\x89\x88" b.per_item_cost "\xe2\x89\x88"
+    (float_of_int b.items *. b.per_item_cost)
+    "\xe2\x89\x88" (spawn_margin *. spawn_cost)
+    (batch_strategy_name b.batch_strategy)
+
+(* A caller that can estimate its per-item work (one unit is roughly one
+   elementary list/compare step) passes [?cost]; the pool then fans out
+   only when {!batch} says the saved wall-clock covers the dispatch
+   overhead — the benchmarks showed small batches (eight ~400-term
+   qualifications) LOSING at two domains, and the floor keeps those
+   sequential.  [with_gating false] restores unconditional fan-out so
+   the benches can time the forced-parallel shape the gate avoids. *)
 let gating = ref true
 
 let with_gating b f =
@@ -220,13 +265,12 @@ let with_gating b f =
 
 let batch_plan ~items ~per_item_cost =
   let domains = size () in
-  if !gating then Plan_cost.batch ~domains ~items ~per_item_cost
+  if !gating then batch ~domains ~items ~per_item_cost
   else
     (* Gating off: every multi-item batch takes the parallel shape. *)
     let k = max 1 (min domains items) in
     {
-      Plan_cost.batch_strategy =
-        (if k <= 1 then Plan_cost.Sequential else Plan_cost.Parallel k);
+      batch_strategy = (if k <= 1 then Sequential else Parallel k);
       items;
       per_item_cost;
       domains;
@@ -335,11 +379,11 @@ let map ?cost f xs =
   | Some _ when Domain.DLS.get in_worker -> List.map f xs
   | Some per_item_cost -> (
       let plan = batch_plan ~items:(List.length xs) ~per_item_cost in
-      match plan.Plan_cost.batch_strategy with
-      | Plan_cost.Sequential ->
+      match plan.batch_strategy with
+      | Sequential ->
           Cache_stats.record_plan "pool.sequential";
           List.map f xs
-      | Plan_cost.Parallel _ ->
+      | Parallel _ ->
           Cache_stats.record_plan "pool.parallel";
           map_parallel f xs)
 

@@ -2,9 +2,9 @@
 
     The ROADMAP's "fast as the hardware allows" goal meets OCaml 5
     multicore here: per-source work in {!Mediator}, {!Federation} and
-    {!Kb}, and per-pattern batches in {!Filter_extract}, fan out across
-    domains while every result keeps its input position — callers observe
-    exactly the sequential order, whatever the pool size.
+    {!Kb} fans out across domains while every result keeps its input
+    position — callers observe exactly the sequential order, whatever
+    the pool size.
 
     Workers are {e persistent}: spawned lazily on first parallel use (or
     eagerly via {!ensure_started} at daemon start), they live for the
@@ -54,18 +54,44 @@ val started : unit -> int
 
 (** {1 Cost-gated fan-out}
 
-    Callers that can estimate their per-item work (in {!Plan_cost}
+    Callers that can estimate their per-item work (in abstract cost
     units; one unit is roughly one elementary list/compare step) pass
-    [?cost] to the combinators.  The pool then consults
-    {!Plan_cost.batch} and fans out only when the wall-clock saved by
-    splitting the batch covers the domain spawns with margin — small
-    batches run sequentially instead of paying the 2-domain penalty the
-    benchmarks exposed.  Every gated decision is recorded in
-    {!Cache_stats} plan counters (["pool.sequential"] /
-    ["pool.parallel"]).  Without [?cost] the combinators keep the legacy
-    always-fan-out behaviour and record nothing. *)
+    [?cost] to the combinators.  The pool then consults {!batch} and
+    fans out only when the wall-clock saved by splitting the batch
+    covers the domain spawns with margin — small batches run
+    sequentially instead of paying the 2-domain penalty the benchmarks
+    exposed.  Every gated decision is recorded in {!Cache_stats} plan
+    counters (["pool.sequential"] / ["pool.parallel"]).  Without [?cost]
+    the combinators keep the legacy always-fan-out behaviour and record
+    nothing. *)
 
-val batch_plan : items:int -> per_item_cost:float -> Plan_cost.batch
+(** How a batch of independent items should execute on the pool. *)
+type batch_strategy =
+  | Sequential
+  | Parallel of int  (** Number of domains to fan out over. *)
+
+(** An explainable fan-out plan. *)
+type batch = {
+  batch_strategy : batch_strategy;
+  items : int;
+  per_item_cost : float;  (** Caller-estimated cost units per item. *)
+  domains : int;  (** Domains available at planning time. *)
+}
+
+val batch : domains:int -> items:int -> per_item_cost:float -> batch
+(** Fan out iff the wall-clock saved by splitting [items * per_item_cost]
+    across [min domains items] workers covers every extra domain spawn
+    with a calibrated margin; below the floor the batch stays
+    sequential.  Deterministic in its arguments. *)
+
+val batch_strategy_name : batch_strategy -> string
+(** ["sequential"] / ["parallel(k)"]. *)
+
+val explain_batch : batch -> string
+(** One stable line, e.g.
+    ["plan: items=8 per-item\xe2\x89\x886e3 total\xe2\x89\x884.8e4 floor\xe2\x89\x886e4 strategy=sequential"]. *)
+
+val batch_plan : items:int -> per_item_cost:float -> batch
 (** The fan-out plan for a batch at the current {!size}, honouring
     {!with_gating}: with gating off, every multi-item batch takes the
     parallel shape.  Exposed so callers (e.g. the mediator's report and

@@ -27,34 +27,6 @@ let filter ?policy o pattern =
 let filter_terms ?policy o pattern =
   Digraph.nodes (Ontology.graph (filter ?policy o pattern))
 
-(* Batched unary operators: one result per pattern, in pattern order,
-   computed across the domain pool.  Each task lands in the same
-   per-(pattern, revision) caches as the scalar entry points — the
-   caches are domain-safe — so a batch warms the cache for later scalar
-   calls and vice versa.  The pool's fan-out gate gets the cost planner's
-   own estimate of each match (the cheaper of the two strategies), so a
-   batch of trivial patterns over a small ontology stays sequential. *)
-let batch_cost ?policy o patterns =
-  match patterns with
-  | [] -> 0.0
-  | _ ->
-      let g = Ontology.graph o in
-      let total =
-        List.fold_left
-          (fun acc p ->
-            let plan = Plan_cost.plan ?policy ~limit:100_000 p g in
-            acc
-            +. Float.min plan.Plan_cost.naive_cost plan.Plan_cost.indexed_cost)
-          0.0 patterns
-      in
-      total /. float_of_int (List.length patterns)
-
-let filter_batch ?policy o patterns =
-  Domain_pool.map
-    ~cost:(batch_cost ?policy o patterns)
-    (fun p -> filter ?policy o p)
-    patterns
-
 let extract ?policy ?(follow = [ Rel.attribute_of ]) ?(include_subclasses = true)
     o pattern =
   Lru.find_or_compute extract_cache
@@ -80,9 +52,3 @@ let extract ?policy ?(follow = [ Rel.attribute_of ]) ?(include_subclasses = true
   in
   let keep = List.sort_uniq String.compare (with_subclasses @ closure) in
   Ontology.restrict o keep
-
-let extract_batch ?policy ?follow ?include_subclasses o patterns =
-  Domain_pool.map
-    ~cost:(batch_cost ?policy o patterns)
-    (fun p -> extract ?policy ?follow ?include_subclasses o p)
-    patterns

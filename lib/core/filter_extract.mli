@@ -30,19 +30,3 @@ val extract :
 
 val filter_terms : ?policy:Fuzzy.policy -> Ontology.t -> Pattern.t -> string list
 (** The terms selected by {!filter}, sorted. *)
-
-val filter_batch :
-  ?policy:Fuzzy.policy -> Ontology.t -> Pattern.t list -> Ontology.t list
-(** One {!filter} per pattern, in pattern order, fanned out across the
-    {!Domain_pool}.  Identical results to mapping {!filter}
-    sequentially, at any pool size. *)
-
-val extract_batch :
-  ?policy:Fuzzy.policy ->
-  ?follow:string list ->
-  ?include_subclasses:bool ->
-  Ontology.t ->
-  Pattern.t list ->
-  Ontology.t list
-(** One {!extract} per pattern, in pattern order, fanned out across the
-    {!Domain_pool}. *)

@@ -51,8 +51,8 @@ let clear name =
 let clear_all () = List.iter (fun (_, r) -> r.clear ()) !registry
 
 (* Plan-strategy counters: one bump per planning decision, keyed on a
-   stable strategy name ("match.naive", "pool.parallel", ...).  Guarded
-   by a mutex because Domain_pool workers plan concurrently.  Separate
+   stable strategy name ("pool.parallel", "store.shard_decode", ...).
+   Guarded by a mutex because Domain_pool workers plan concurrently.  Separate
    from the cache registry on purpose: [clear_all] models a cold cache,
    not an amnesiac planner, so the distribution survives it. *)
 let plan_mutex = Mutex.create ()

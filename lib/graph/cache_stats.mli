@@ -56,11 +56,11 @@ val clear_all : unit -> unit
 
 (** {1 Plan-strategy counters}
 
-    The adaptive planners ({!Plan_cost} driving {!Matcher.find},
-    {!Domain_pool} fan-out gating) record every decision here under a
-    stable strategy name (["match.naive"], ["match.indexed"],
-    ["pool.sequential"], ["pool.parallel"]), so the benchmarks and the
-    daemon's status op can report the plan distribution.  Counters are
+    The {!Domain_pool} fan-out gate, the paged store and the delta
+    engine record every decision here under a stable strategy name
+    (["pool.sequential"], ["pool.parallel"], ["store.shard_decode"],
+    ["delta.index_patch"], ...), so the benchmarks and the daemon's
+    stats op can report the plan distribution.  Counters are
     mutex-guarded (planning happens on pool workers) and deliberately
     survive {!clear_all}: clearing caches models a cold start, not an
     amnesiac planner. *)

@@ -91,7 +91,7 @@ let cache : (int, t) Lru.t =
 
 let of_graph g = Lru.find_or_compute cache (Digraph.revision g) (fun () -> build g)
 
-let cached g = Lru.mem cache (Digraph.revision g)
+let peek g = Lru.peek cache (Digraph.revision g)
 
 (* ------------------------------------------------------------------ *)
 (* Delta maintenance                                                   *)

@@ -31,11 +31,10 @@ val update : t -> Delta.t -> Digraph.t -> t
     answers from the patch.  Records one ["delta.index_patch"] plan
     counter tick. *)
 
-val cached : Digraph.t -> bool
-(** Is the index for this graph's revision already memoized?  A pure
-    probe (no counter movement, no build): the cost planner uses it to
-    decide whether an indexed search would pay the [O(N + E)] build or
-    start from a warm index. *)
+val peek : Digraph.t -> t option
+(** The index for this graph's revision if it is already memoized, and
+    [None] otherwise.  Never builds and moves no counter: {!Matcher.find}
+    uses it to seed from a label bucket only when the index is warm. *)
 
 val revision : t -> int
 (** The {!Digraph.revision} of the indexed graph. *)

@@ -147,3 +147,9 @@ let find_or_compute c key f =
         value
 
 let mem c key = locked c @@ fun () -> Hashtbl.mem c.tbl key
+
+let peek c key =
+  if not (Cache_stats.enabled ()) then None
+  else
+    locked c @@ fun () ->
+    Option.map (fun e -> e.value) (Hashtbl.find_opt c.tbl key)

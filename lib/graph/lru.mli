@@ -36,6 +36,10 @@ val find_opt : ('k, 'v) t -> 'k -> 'v option
 val mem : ('k, 'v) t -> 'k -> bool
 (** Pure presence test: no counter movement, ignores the enabled flag. *)
 
+val peek : ('k, 'v) t -> 'k -> 'v option
+(** Pure lookup: the cached value if present, never computing, with no
+    counter or recency movement; [None] when disabled. *)
+
 val clear : ('k, 'v) t -> unit
 (** Drop all entries and reset counters. *)
 

@@ -46,6 +46,6 @@ val edge_labels_exact : policy -> bool
     edges labeled [l]?  True for {!exact} and any policy that neither
     ignores edge labels nor declares extra interchangeable pairs; when
     true, label-keyed index buckets and label-directed adjacency are
-    sound candidate sources for the matcher and the cost planner. *)
+    sound candidate sources for the matcher. *)
 
 val to_morphism_compat : policy -> Morphism.compat

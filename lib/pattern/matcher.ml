@@ -11,9 +11,9 @@ module Sset = Set.Make (String)
    lexicon is a pure map), compared structurally, so hits are exact; a
    mutated graph carries a new revision and misses.  The cache is
    semantically invisible (proved by the qcheck equivalence property in
-   test/test_cache_equiv.ml); both execution strategies below are proved
-   equivalent to the naive Matcher_reference by test/test_matcher_equiv.ml
-   and test/test_plan_cost.ml. *)
+   test/test_cache_equiv.ml); the executor below is proved equivalent to
+   the naive Matcher_reference, with the label index cold and warm, by
+   test/test_matcher_equiv.ml. *)
 let cache :
     ( Fuzzy.policy * bool * int * [ `Most_constrained | `Declaration ] * Pattern.t * int,
       match_result list )
@@ -37,7 +37,7 @@ let incident_table pattern =
   fun id -> Option.value (Hashtbl.find_opt tbl id) ~default:[]
 
 (* Is the pattern edge (now fully assigned) witnessed in g?  One
-   mem_edge / labels_between probe — both strategies validate edges
+   mem_edge / labels_between probe — the engine validates edges
    incrementally, precisely when the second endpoint is assigned.  The
    naive reference instead re-validates all assigned edges by rescanning
    out_edges at every step; an edge once witnessed stays witnessed (the
@@ -53,10 +53,10 @@ let edge_witnessed g ~exact_edges policy assignment (e : Pattern.edge) =
         (fun gl -> Fuzzy.edge_compatible policy l gl)
         (Digraph.labels_between g s d)
 
-(* The backtracking engine shared by both executors.  Equivalence with
-   the naive search (Matcher_reference) rests on the candidate function
-   only ever shrinking candidate sets by necessary conditions while
-   preserving the sorted visit order: pruned candidates head subtrees the
+(* The backtracking engine.  Equivalence with the naive search
+   (Matcher_reference) rests on the candidate function only ever
+   shrinking candidate sets by necessary conditions while preserving the
+   sorted visit order: pruned candidates head subtrees the
    naive search would enter and exhaust without emitting a match, and
    [limit] counts complete matches, so pruning dead subtrees can never
    change which matches are found or in which order. *)
@@ -115,9 +115,8 @@ let run ~injective ~limit ~order ~pattern ~incident_to ~edge_witnessed
 (* Candidates for [pn] anchored on an already-bound pattern neighbour,
    read straight off the graph's adjacency lists (sorted, distinct):
    exactly the nodes that can witness the linking edge.  Adjacency is
-   not an index — it is the graph's own representation — so BOTH
-   executors may anchor; what separates them is the {!Label_index}
-   build the indexed executor pays for its label buckets. *)
+   not an index — it is the graph's own representation — so anchoring
+   needs no build. *)
 let anchored_candidates g ~exact_edges ~incident_to (pn : Pattern.node)
     assignment =
   List.find_map
@@ -140,19 +139,36 @@ let anchored_candidates g ~exact_edges ~incident_to (pn : Pattern.node)
         | None -> None)
     (incident_to pn.id)
 
-(* The naive executor: no index is consulted, so nothing is built.
-   Unanchored positions scan the graph's node list (the strategy of
-   Matcher_reference, with the engine's incremental edge checks in place
-   of the reference's whole-assignment rescans); anchored positions
-   enumerate the bound neighbour's adjacency instead of materializing
-   and filtering the whole node list — the regression fix: a selective
-   labeled anchor needs a handful of adjacency probes, not an O(N + E)
-   index build.  The planner picks this strategy when the pattern is
-   anchored or the graph small enough that a build would dominate. *)
-let find_scan ~policy ~injective ~limit ~order pattern g =
+(* The executor.  Anchored positions enumerate the bound neighbour's
+   adjacency; an unanchored position scans the graph's node list (the
+   strategy of Matcher_reference, with the engine's incremental edge
+   checks in place of the reference's whole-assignment rescans) — unless
+   this revision's {!Label_index} is already memoized and the position
+   has an exactly-labeled incident edge, in which case it seeds from that
+   label's bucket.  Buckets are sorted subsets of the node list holding
+   every node that can witness the edge, so seeding drops only dead
+   subtrees.  The matcher never builds an index: [Label_index.peek]
+   returns one only if it exists, so a cold search pays nothing for it
+   and a warm/cold check cannot race into a build. *)
+let search ~policy ~injective ~limit ~order pattern g =
   let exact_edges = Fuzzy.edge_labels_exact policy in
-  let all_nodes = Digraph.nodes g in
+  let idx = if exact_edges then Label_index.peek g else None in
+  let all_nodes = lazy (Digraph.nodes g) in
   let incident_to = incident_table pattern in
+  let seed (pn : Pattern.node) =
+    match idx with
+    | None -> None
+    | Some idx ->
+        List.find_map
+          (fun (e : Pattern.edge) ->
+            match e.elabel with
+            | Some l when String.equal e.src pn.id ->
+                Some (Label_index.sources_with idx l)
+            | Some l when String.equal e.dst pn.id ->
+                Some (Label_index.targets_with idx l)
+            | _ -> None)
+          (incident_to pn.id)
+  in
   let candidates (pn : Pattern.node) assignment =
     match pn.label with
     | Some want when policy = Fuzzy.exact ->
@@ -163,7 +179,8 @@ let find_scan ~policy ~injective ~limit ~order pattern g =
             anchored_candidates g ~exact_edges ~incident_to pn assignment
           with
           | Some c -> c
-          | None -> all_nodes
+          | None -> (
+              match seed pn with Some s -> s | None -> Lazy.force all_nodes)
         in
         match pn.label with
         | None -> base
@@ -174,120 +191,17 @@ let find_scan ~policy ~injective ~limit ~order pattern g =
     ~edge_witnessed:(edge_witnessed g ~exact_edges policy)
     ~candidates
 
-(* [exceeds xs k] is [List.length xs > k] without walking past [k+1]
-   elements. *)
-let rec exceeds xs k =
-  match xs with [] -> false | _ :: tl -> k = 0 || exceeds tl (k - 1)
-
-(* The indexed executor: anchored candidate generation over the
-   revision-memoized {!Label_index}. *)
-let find_indexed ~policy ~injective ~limit ~order pattern g =
-  let idx = Label_index.of_graph g in
-  let all_nodes = Label_index.nodes idx in
-  let exact_edges = Fuzzy.edge_labels_exact policy in
-  let incident_to = incident_table pattern in
-  (* Necessary degree conditions from the index summaries: a candidate
-     must be able to emit/absorb every pattern edge incident to this
-     pattern node. *)
-  let degree_feasible pid candidate =
-    List.for_all
-      (fun (e : Pattern.edge) ->
-        (if String.equal e.src pid then
-           match e.elabel with
-           | Some l when exact_edges ->
-               Label_index.out_label_degree idx candidate l >= 1
-           | _ -> Label_index.out_degree idx candidate >= 1
-         else true)
-        &&
-        if String.equal e.dst pid then
-          match e.elabel with
-          | Some l when exact_edges ->
-              Label_index.in_label_degree idx candidate l >= 1
-          | _ -> Label_index.in_degree idx candidate >= 1
-        else true)
-      (incident_to pid)
-  in
-  (* Degree filtering pays off only on selective candidate sets.  When a
-     set already covers more than half the graph the filter's per-node
-     index probes cost more than the dead subtrees they prune, so large
-     sets go to the engine unfiltered — a superset in the same sorted
-     order, hence the same results (the probes only remove candidates
-     whose subtree backtracking would exhaust anyway). *)
-  let degree_filter_threshold = Digraph.nb_nodes g / 2 in
-  let maybe_degree_filter pid base =
-    if exceeds base degree_filter_threshold then base
-    else List.filter (degree_feasible pid) base
-  in
-  (* Candidates for [pn] given the partial [assignment], anchored on an
-     already-bound pattern neighbour whenever one exists. *)
-  let candidates (pn : Pattern.node) assignment =
-    match pn.label with
-    | Some want when policy = Fuzzy.exact ->
-        (* Fast path: under a fully exact policy the only candidate is the
-           identically-labeled node. *)
-        if Label_index.mem_label idx want then [ want ] else []
-    | _ ->
-        let base =
-          match
-            anchored_candidates g ~exact_edges ~incident_to pn assignment
-          with
-          | Some c -> c
-          | None -> (
-              (* No bound neighbour yet: seed from the edge-label bucket of
-                 an incident exactly-labeled pattern edge when possible,
-                 the whole node set otherwise. *)
-              let seed =
-                if not exact_edges then None
-                else
-                  List.find_map
-                    (fun (e : Pattern.edge) ->
-                      match e.elabel with
-                      | Some l when String.equal e.src pn.id ->
-                          Some (Label_index.sources_with idx l)
-                      | Some l when String.equal e.dst pn.id ->
-                          Some (Label_index.targets_with idx l)
-                      | _ -> None)
-                    (incident_to pn.id)
-              in
-              match seed with Some s -> s | None -> all_nodes)
-        in
-        let base =
-          match pn.label with
-          | None -> base
-          | Some want ->
-              List.filter (fun n -> Fuzzy.node_compatible policy want n) base
-        in
-        maybe_degree_filter pn.id base
-  in
-  run ~injective ~limit ~order ~pattern ~incident_to
-    ~edge_witnessed:(edge_witnessed g ~exact_edges policy)
-    ~candidates
-
-let resolve_order node_order pattern =
-  match node_order with
-  | `Most_constrained -> Pattern.search_order pattern
-  | `Declaration -> Pattern.nodes pattern
-
-let find_fixed ~strategy ?(policy = Fuzzy.exact) ?(injective = false)
-    ?(limit = 1000) ?(node_order = `Most_constrained) pattern g =
-  let order = resolve_order node_order pattern in
-  match strategy with
-  | Plan_cost.Naive -> find_scan ~policy ~injective ~limit ~order pattern g
-  | Plan_cost.Indexed -> find_indexed ~policy ~injective ~limit ~order pattern g
-
-(* The adaptive entry point: consult the cost planner, record the
-   decision, execute.  Planning happens only on result-cache misses — a
-   hit already knows its answer and has nothing left to plan. *)
 let find ?(policy = Fuzzy.exact) ?(injective = false) ?(limit = 1000)
     ?(node_order = `Most_constrained) pattern g =
   Lru.find_or_compute cache
     (policy, injective, limit, node_order, pattern, Digraph.revision g)
   @@ fun () ->
-  let plan = Plan_cost.plan ~policy ~limit ~node_order pattern g in
-  Cache_stats.record_plan
-    ("match." ^ Plan_cost.strategy_name plan.Plan_cost.strategy);
-  find_fixed ~strategy:plan.Plan_cost.strategy ~policy ~injective ~limit
-    ~node_order pattern g
+  let order =
+    match node_order with
+    | `Most_constrained -> Pattern.search_order pattern
+    | `Declaration -> Pattern.nodes pattern
+  in
+  search ~policy ~injective ~limit ~order pattern g
 
 let matches ?policy pattern g = find ?policy ~limit:1 pattern g <> []
 

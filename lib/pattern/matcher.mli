@@ -3,23 +3,19 @@
     A pattern [P = (N', E')] matches into a graph [G] through a total
     mapping of pattern nodes to graph nodes that respects label constraints
     and edge existence — the section-3 definition, generalized with binders
-    and the {!Fuzzy} relaxations.  The matcher backtracks over pattern
-    nodes, most-constrained first, choosing per query between two
-    executors under the {!Plan_cost} cost model:
+    and the {!Fuzzy} relaxations.  One executor backtracks over pattern
+    nodes, most-constrained first.  A node with an already-bound
+    neighbour takes its candidates from that neighbour's adjacency; an
+    unanchored node scans the graph's node list, or — when the graph's
+    {!Label_index} is already memoized for this revision and the node
+    has an exactly-labeled incident edge — that label's bucket.  The
+    matcher never builds an index itself: a cold search pays nothing for
+    one, and a warm index (built by lint, delta maintenance or an
+    explicit {!Label_index.of_graph}) only narrows the seed.
 
-    - {e naive}: candidates straight from the graph's node list, nothing
-      built — cheapest when the pattern is selective (exact labels) or
-      the graph small, where a {!Label_index} build would dominate;
-    - {e indexed}: anchored candidate generation — a pattern node with
-      an already-bound neighbour enumerates only that neighbour's
-      [succ_by]/[pred_by] adjacency, and index degree summaries prune
-      candidates that cannot satisfy their incident pattern edges.
-
-    Either way, results are bit-for-bit those of the naive whole-graph
-    scan ({!Matcher_reference}), proven by the qcheck equivalence
-    properties in [test/test_matcher_equiv.ml] and
-    [test/test_plan_cost.ml].  Every planning decision is recorded in
-    {!Cache_stats} plan counters (["match.naive"] / ["match.indexed"]). *)
+    Results are bit-for-bit those of the naive whole-graph scan
+    ({!Matcher_reference}), with the index cold and warm, proven by the
+    qcheck equivalence property in [test/test_matcher_equiv.ml]. *)
 
 type match_result = {
   assignment : (string * Digraph.node) list;
@@ -43,20 +39,6 @@ val find :
     default: labeled, high-degree pattern nodes first) or [`Declaration]
     (pattern order as written) — kept for the ablation benchmark that
     justifies the heuristic. *)
-
-val find_fixed :
-  strategy:Plan_cost.strategy ->
-  ?policy:Fuzzy.policy ->
-  ?injective:bool ->
-  ?limit:int ->
-  ?node_order:[ `Most_constrained | `Declaration ] ->
-  Pattern.t ->
-  Digraph.t ->
-  match_result list
-(** {!find} with the execution strategy pinned instead of planned, and
-    no result-cache participation: the hook the benchmarks and the
-    planner's never-worse harness use to time each strategy in
-    isolation.  Semantics are identical to {!find} for every strategy. *)
 
 val matches : ?policy:Fuzzy.policy -> Pattern.t -> Digraph.t -> bool
 

@@ -73,9 +73,9 @@ let with_attributes ?binder head attrs =
   create ~nodes:(head_node :: attr_nodes) ~edges ()
 
 (* Pattern nodes ordered most-constrained-first: labeled before wildcard,
-   then by pattern degree (descending), then by id.  Shared by both
-   matcher implementations and the cost planner, so all three reason
-   about the same backtracking order. *)
+   then by pattern degree (descending), then by id.  Shared by the
+   matcher and its naive reference, so both reason about the same
+   backtracking order. *)
 let search_order p =
   let degree id =
     List.length (List.filter (fun e -> e.src = id || e.dst = id) p.pedges)

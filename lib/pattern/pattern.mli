@@ -65,8 +65,7 @@ val with_attributes :
 val search_order : t -> node list
 (** Nodes in most-constrained-first backtracking order: labeled before
     wildcard, then by pattern degree (descending), then by id.  The
-    canonical order shared by {!Matcher}, {!Matcher_reference} and
-    {!Plan_cost}. *)
+    canonical order shared by {!Matcher} and {!Matcher_reference}. *)
 
 val node_by_id : t -> string -> node option
 

@@ -25,7 +25,7 @@ type tuple = {
 
 type report = {
   plan : Plan.t;
-  fanout : Plan_cost.batch;
+  fanout : Domain_pool.batch;
   tuples : tuple list;
   aggregates : (string * Conversion.value) list;
   scanned : int;
@@ -34,7 +34,7 @@ type report = {
   skipped_kbs : string list;
 }
 
-let explain_fanout r = Plan_cost.explain_batch r.fanout
+let explain_fanout r = Domain_pool.explain_batch r.fanout
 
 let tuple_value t attr = List.assoc_opt attr t.values
 

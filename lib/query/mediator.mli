@@ -54,7 +54,7 @@ type tuple = {
 
 type report = {
   plan : Plan.t;
-  fanout : Plan_cost.batch;
+  fanout : Domain_pool.batch;
       (** The fan-out plan the per-source evaluation executed under: how
           many source plans, the estimated per-source work, and whether
           the {!Domain_pool} gate chose sequential or parallel
@@ -102,7 +102,7 @@ val tuple_value : tuple -> string -> Conversion.value option
 
 val explain_fanout : report -> string
 (** One stable line describing the executed fan-out plan
-    (see {!Plan_cost.explain_batch}): deterministic in the environment
+    (see {!Domain_pool.explain_batch}): deterministic in the environment
     and query, so CLI output containing it can be golden-tested. *)
 
 val report_json : ?explain:bool -> report -> string

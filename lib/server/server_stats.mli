@@ -77,10 +77,9 @@ type snapshot = {
       (** Per-cache counter movement since {!create}: hits / misses /
           evictions are deltas; entries / capacity are current. *)
   plans : (string * int) list;
-      (** The adaptive planners' strategy distribution
-          ({!Cache_stats.plan_counts}): how often each execution strategy
-          (["match.naive"], ["pool.parallel"], ...) was chosen over the
-          process lifetime.  Lives here rather than in the [status] body
+      (** The plan counters ({!Cache_stats.plan_counts}): how often each
+          execution strategy (["pool.parallel"], ["store.shard_decode"],
+          ...) was chosen over the process lifetime.  Lives here rather than in the [status] body
           because status is a pure function of the workspace (concurrent
           replies are bit-for-bit equal) while these counters move with
           every planned request. *)

@@ -108,8 +108,9 @@ let workspace ws =
   in
   (* No process-level counters here: status is a pure function of the
      workspace (the daemon's concurrent soak asserts replies bit-for-bit
-     equal), so the adaptive planners' strategy distribution is reported
-     by the daemon's stats op instead, next to the cache counters.
+     equal), so the plan counters (fan-out, store and delta decisions)
+     are reported by the daemon's stats op instead, next to the cache
+     counters.
      Breaker entries only exist once a load has failed, and their fields
      carry no live countdowns, so an unchanging workspace keeps an
      unchanging status body. *)

@@ -1148,15 +1148,20 @@ let stray_issues t =
       @ stray_issues_in t Health.Articulation (articulations_dir t)
   | Paged -> stray_issues_paged t
 
-let health t =
-  let sources, s_issues = load_sources t in
-  let articulations, a_issues = load_articulations t in
+(* The health of the parts a space was built from. *)
+let parts_health sources articulations issues =
   {
     Health.sources_ok = List.map Ontology.name sources;
     articulations_ok =
       List.sort String.compare (List.map Articulation.name articulations);
-    issues = stray_issues t @ s_issues @ a_issues;
+    issues;
   }
+
+(* Whole-workspace health: the parts plus protocol debris on disk. *)
+let health t =
+  let sources, s_issues = load_sources t in
+  let articulations, a_issues = load_articulations t in
+  parts_health sources articulations (stray_issues t @ s_issues @ a_issues)
 
 (* Content fingerprint of a directory: sorted file names, each with the
    MD5 of its bytes.  Content-based rather than mtime-based, so a file
@@ -1187,18 +1192,14 @@ let fingerprint t =
       | None -> "paged:<absent>")
 
 (* The degraded federation: every healthy source and articulation serves;
-   everything else is accounted for in the Health record. *)
+   everything else it read is accounted for in the Health record.  Debris
+   on disk (tmp files, orphan segments) is not a part the space reads, so
+   it is left to {!health}, lint and fsck: a read overlapping a publish
+   would otherwise report the publisher's in-flight files. *)
 let compute_space t =
   let sources, s_issues = load_sources t in
   let articulations, a_issues = load_articulations t in
-  let health =
-    {
-      Health.sources_ok = List.map Ontology.name sources;
-      articulations_ok =
-        List.sort String.compare (List.map Articulation.name articulations);
-      issues = stray_issues t @ s_issues @ a_issues;
-    }
-  in
+  let health = parts_health sources articulations (s_issues @ a_issues) in
   match Federation.of_parts ~sources ~articulations with
   | space -> Ok (space, health)
   | exception Invalid_argument m -> Error m
@@ -1236,9 +1237,9 @@ let default_ontology t =
 
 (* The routed space for one articulation group: only the group's
    sources and articulations are decoded and merged.  Health carries the
-   group's issues plus the store-level strays, so a reply still warns
-   about what it serves — parts of OTHER groups are not scanned (that
-   locality is the point of routing). *)
+   group's issues, so a reply still warns about what it serves — parts
+   of OTHER groups are not read (that locality is the point of
+   routing). *)
 let compute_routed_space t group =
   let sources, s_issues =
     List.fold_left
@@ -1262,38 +1263,9 @@ let compute_routed_space t group =
             | Error issue -> (aa, is @ [ issue ])))
       ([], []) group
   in
-  let health =
-    {
-      Health.sources_ok = List.map Ontology.name sources;
-      articulations_ok =
-        List.sort String.compare (List.map Articulation.name articulations);
-      issues = stray_issues t @ s_issues @ a_issues;
-    }
-  in
+  let health = parts_health sources articulations (s_issues @ a_issues) in
   match Federation.of_parts ~sources ~articulations with
-  | space ->
-      (* Publish the persisted label histograms of the group's segments
-         as planner hints for the freshly merged graph: Plan_cost gets
-         warm-index bucket estimates on a graph paged in cold.  Hints
-         only sharpen cost estimates — executor results are unchanged. *)
-      let buckets = Hashtbl.create 64 in
-      List.iter
-        (fun (e : Segment.entry) ->
-          match Segment.read_index t.root e.Segment.fp with
-          | Error _ -> ()
-          | Ok idx ->
-              List.iter
-                (fun (label, n) ->
-                  let prev =
-                    Option.value ~default:0 (Hashtbl.find_opt buckets label)
-                  in
-                  Hashtbl.replace buckets label (prev + n))
-                idx.Segment.idx_edges)
-        group;
-      if Hashtbl.length buckets > 0 then
-        Lazy_index.register space.Federation.graph
-          { Lazy_index.edge_bucket = (fun _side l -> Hashtbl.find_opt buckets l) };
-      Ok (space, health)
+  | space -> Ok (space, health)
   | exception Invalid_argument m -> Error m
 
 (* One shard of the snapshot, decoded at most once per manifest digest
@@ -1595,8 +1567,8 @@ let edit t ~source ops =
       (* Keep the label index warm across the edit: the first edit of a
          chain builds the pre-state index (one full O(N+E) pass), every
          later one patches forward in O(|delta|) — so the feasibility
-         scans and the query planner never pay a rebuild after an
-         edit. *)
+         scans never pay a rebuild after an edit, and the matcher may
+         seed from its label buckets. *)
       if Cache_stats.enabled () then
         ignore
           (Label_index.update (Label_index.of_graph (Ontology.graph o)) delta

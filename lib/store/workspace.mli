@@ -157,7 +157,7 @@ val commit : publisher -> (unit, string) result
 
 val space : t -> (Federation.t * Health.t, string) result
 (** The query space over every {e healthy} source and stored
-    articulation, paired with the health account of the scan.  [Error]
+    articulation, paired with the health account of the parts it read.  [Error]
     only when the surviving parts cannot form a federation at all.
     Memoised on a content fingerprint of the workspace files (honours
     [Cache_stats.enabled]). *)
@@ -169,7 +169,8 @@ val query_space : t -> string -> (Federation.t * Health.t, string) result
     merged; answers are bit-for-bit identical to running against the
     full space (the anchor's group is the only component a connected
     match can touch).  Health covers the parts actually serving the
-    group plus store-level strays — not parts of other groups.  Any
+    group — not parts of other groups, and not debris on disk (tmp
+    files, orphan segments), which {!health}, lint and {!fsck} report.  Any
     routing miss (parse failure, unknown label, mid-publish shards)
     falls back to the full space: routing is an optimisation, never a
     filter.

@@ -106,7 +106,7 @@ let test_concurrent_cache_traffic () =
 (* Cost-gated fan-out                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let batch_name b = Plan_cost.batch_strategy_name b.Plan_cost.batch_strategy
+let batch_name b = Domain_pool.batch_strategy_name b.Domain_pool.batch_strategy
 
 let test_batch_plan_gating () =
   Domain_pool.with_size 4 (fun () ->
@@ -126,6 +126,36 @@ let test_batch_plan_gating () =
       check_string "single domain is always sequential" "sequential"
         (batch_name
            (Domain_pool.batch_plan ~items:64 ~per_item_cost:100_000.0)))
+
+(* Everything before the " strategy=" key — the part of a batch explain
+   that must not vary with the domain count. *)
+let strip_strategy s =
+  let marker = " strategy=" in
+  let ml = String.length marker in
+  let rec find i =
+    if i + ml > String.length s then s
+    else if String.equal (String.sub s i ml) marker then String.sub s 0 i
+    else find (i + 1)
+  in
+  find 0
+
+let test_batch_explain_deterministic () =
+  (* Batch plans may legitimately flip strategy with the domain count;
+     everything before the strategy field must be identical. *)
+  let b1 = Domain_pool.batch ~domains:1 ~items:8 ~per_item_cost:6000.0 in
+  let b4 = Domain_pool.batch ~domains:4 ~items:8 ~per_item_cost:6000.0 in
+  check_string "batch explain identical modulo strategy"
+    (strip_strategy (Domain_pool.explain_batch b1))
+    (strip_strategy (Domain_pool.explain_batch b4))
+
+let test_batch_explain_shape () =
+  (* The one-line rendering is stable enough to golden-test: pure
+     arithmetic over the caller's numbers, no timing, no pointers. *)
+  let b = Domain_pool.batch ~domains:4 ~items:3 ~per_item_cost:100.0 in
+  check_string "batch explain pinned"
+    "plan: items=3 per-item\xe2\x89\x88100 total\xe2\x89\x88300 \
+     floor\xe2\x89\x886e+04 strategy=sequential"
+    (Domain_pool.explain_batch b)
 
 let test_with_gating_off_forces_parallel () =
   Domain_pool.with_size 4 (fun () ->
@@ -230,6 +260,10 @@ let suite =
         Alcotest.test_case "concurrent cache traffic" `Quick
           test_concurrent_cache_traffic;
         Alcotest.test_case "batch plan gating" `Quick test_batch_plan_gating;
+        Alcotest.test_case "batch explain deterministic across domains"
+          `Quick test_batch_explain_deterministic;
+        Alcotest.test_case "batch explain shape" `Quick
+          test_batch_explain_shape;
         Alcotest.test_case "gating override" `Quick
           test_with_gating_off_forces_parallel;
         Alcotest.test_case "cost-gated map equals List.map" `Quick

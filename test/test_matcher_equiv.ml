@@ -1,15 +1,19 @@
-(* The indexed-matcher-is-the-naive-matcher property: over random graphs
-   and patterns, Matcher.find (index-anchored candidates, incremental
-   edge checks, degree pruning) must return exactly what the preserved
-   naive search Matcher_reference.find returns — same matches, same
-   order, same bindings — across exact and fuzzy policies, injective on
-   and off, and both node orders.  Together the properties run well over
-   500 random cases.
+(* The one-executor-is-the-naive-matcher property: over random graphs
+   and patterns, Matcher.find (adjacency-anchored candidates, label-bucket
+   seeds when the index is warm, incremental edge checks) must return
+   exactly what the preserved naive search Matcher_reference.find returns
+   — same matches, same order, same bindings — across exact and fuzzy
+   policies, injective on and off, both node orders, and with the
+   Label_index both cold and warm.  The property runs 600 random cases.
+
+   Two pins cover the warm/cold rule directly: a labeled-anchor find
+   leaves the index unbuilt, and a rare-label graph answers the same
+   warm and cold.
 
    A second family checks that the Domain_pool fan-out is invisible:
-   Filter_extract batches, Federation.of_parts and Mediator.run must
-   produce identical results at pool size 1 (sequential fallback) and
-   pool size 4. *)
+   Filter_extract.filter mapped over the pool, Federation.of_parts and
+   Mediator.run must produce identical results at pool size 1
+   (sequential fallback) and pool size 4. *)
 
 let node_pool = [ "a"; "b"; "c"; "d"; "e"; "f"; "g"; "h"; "cars"; "auto" ]
 let label_pool = [ "S"; "A"; "I"; "SI"; "x" ]
@@ -91,9 +95,9 @@ let case =
         limit)
     g
 
-let prop_indexed_equals_reference =
+let prop_find_equals_reference =
   QCheck.Test.make ~count:600
-    ~name:"indexed Matcher.find = naive Matcher_reference.find"
+    ~name:"Matcher.find, index cold and warm = Matcher_reference.find"
     case
     (fun (edges, pattern, tag, injective, decl, limit) ->
       let g = Digraph.of_edges edges in
@@ -102,26 +106,101 @@ let prop_indexed_equals_reference =
       let reference =
         Matcher_reference.find ~policy ~injective ~limit ~node_order pattern g
       in
-      (* Compare both the cold compute (caches disabled) and the cached
-         path: the indexed search and its memoization must each be
-         invisible. *)
-      let indexed_cold =
-        Cache_stats.with_disabled (fun () ->
-            Matcher.find ~policy ~injective ~limit ~node_order pattern g)
-      in
-      let indexed_warm =
+      let find () =
         Matcher.find ~policy ~injective ~limit ~node_order pattern g
       in
-      indexed_cold = reference && indexed_warm = reference)
+      (* Cold: unless an earlier case memoized an index for an equal
+         revision, unanchored nodes scan the node list.  Either way
+         [find] never builds the index itself. *)
+      let warm_before = Label_index.peek g <> None in
+      ignore (Cache_stats.clear "matcher.find");
+      let cold = find () in
+      let built_by_find = (not warm_before) && Label_index.peek g <> None in
+      (* Warm: with the index memoized, unanchored nodes seed from label
+         buckets; the result cache is cleared so the search reruns. *)
+      ignore (Label_index.of_graph g);
+      ignore (Cache_stats.clear "matcher.find");
+      let warm = find () in
+      (* And through the result cache. *)
+      let cached = find () in
+      (not built_by_find) && cold = reference && warm = reference
+      && cached = reference)
+
+let profile n = { Gen.default_profile with Gen.n_terms = n }
+
+(* The BENCH labeled-anchor family: an exactly-labeled anchor (the
+   source of some SubclassOf edge in this very graph) linked to one
+   wildcard neighbour. *)
+let labeled_anchor_pattern g =
+  let anchor =
+    match
+      List.find_opt
+        (fun (e : Digraph.edge) -> String.equal e.label Rel.subclass_of)
+        (Digraph.edges g)
+    with
+    | Some e -> e.src
+    | None -> List.hd (Digraph.nodes g)
+  in
+  Pattern.create
+    ~nodes:
+      [
+        { Pattern.id = "a"; label = Some anchor; binder = None };
+        { Pattern.id = "b"; label = None; binder = Some "Y" };
+      ]
+    ~edges:[ { Pattern.src = "a"; elabel = Some Rel.subclass_of; dst = "b" } ]
+    ()
+
+let test_labeled_anchor_leaves_index_unbuilt () =
+  (* The BENCH family at n=2000: the answer is the reference's, and the
+     find must not pay the O(N + E) index build (the root cause of the
+     historic 10x labeled-anchor regression). *)
+  let o = Gen.ontology ~profile:(profile 2000) ~seed:17 ~name:"g" () in
+  let g = Ontology.graph o in
+  let labeled = labeled_anchor_pattern g in
+  Cache_stats.clear_all ();
+  let found = Matcher.find labeled g in
+  Alcotest.(check bool) "same answer" true
+    (found = Matcher_reference.find labeled g);
+  Alcotest.(check bool) "at least one match (the anchor is real)" true
+    (found <> []);
+  Alcotest.(check bool) "find left the label index unbuilt" true
+    (Label_index.peek g = None)
+
+let test_rare_label_warm_equals_cold () =
+  (* 200 nodes chained with a common label and ONE rare "R" edge: for
+     [?X -[R]-> ?Y] a warm index seeds from R's one-element bucket, a
+     cold search walks all 200 nodes.  Both must give the one match. *)
+  let g =
+    Digraph.of_edges
+      ({ Digraph.src = "rsrc"; label = "R"; dst = "rdst" }
+      :: List.init 199 (fun i ->
+             {
+               Digraph.src = Printf.sprintf "s%d" i;
+               label = "S";
+               dst = Printf.sprintf "s%d" (i + 1);
+             }))
+  in
+  let rare = Pattern_parser.parse_exn "?X -[R]-> ?Y" in
+  let reference = Matcher_reference.find rare g in
+  Cache_stats.clear_all ();
+  let cold = Matcher.find rare g in
+  Alcotest.(check bool) "cold find left the index unbuilt" true
+    (Label_index.peek g = None);
+  ignore (Label_index.of_graph g);
+  ignore (Cache_stats.clear "matcher.find");
+  let warm = Matcher.find rare g in
+  Alcotest.(check int) "one match" 1 (List.length reference);
+  Alcotest.(check bool) "cold = reference" true (cold = reference);
+  Alcotest.(check bool) "warm = reference" true (warm = reference)
 
 (* Matcher determinism under pool sizes: the matcher itself is
    sequential, but everything feeding it (index build, cache traffic from
-   concurrent batch operators) must leave results untouched.  Run the
-   same filter batch at ONION_DOMAINS-equivalent sizes 1 and 4 and
+   concurrent pool tasks) must leave results untouched.  Run the same
+   filters across the pool at ONION_DOMAINS-equivalent sizes 1 and 4 and
    demand identical ontologies in identical order. *)
 let prop_pool_size_invisible =
   QCheck.Test.make ~count:60
-    ~name:"Filter_extract.filter_batch: pool size 1 = pool size 4"
+    ~name:"Domain_pool.map Filter_extract.filter: pool size 1 = 4"
     (QCheck.make
        ~print:(fun seed -> Printf.sprintf "seed=%d" seed)
        QCheck.Gen.(int_range 0 5_000))
@@ -139,16 +218,12 @@ let prop_pool_size_invisible =
           Pattern.term (List.hd (Ontology.terms o));
         ]
       in
-      let seq =
-        Domain_pool.with_size 1 (fun () ->
+      let at k =
+        Domain_pool.with_size k (fun () ->
             Cache_stats.with_disabled (fun () ->
-                Filter_extract.filter_batch o patterns))
+                Domain_pool.map (Filter_extract.filter o) patterns))
       in
-      let par =
-        Domain_pool.with_size 4 (fun () ->
-            Cache_stats.with_disabled (fun () ->
-                Filter_extract.filter_batch o patterns))
-      in
+      let seq = at 1 and par = at 4 in
       List.for_all2 Ontology.equal seq par)
 
 let check_bool = Alcotest.(check bool)
@@ -229,7 +304,13 @@ let suite =
   [
     ( "matcher-equivalence",
       List.map QCheck_alcotest.to_alcotest
-        [ prop_indexed_equals_reference; prop_pool_size_invisible ] );
+        [ prop_find_equals_reference; prop_pool_size_invisible ]
+      @ [
+          Alcotest.test_case "labeled-anchor find leaves index unbuilt" `Quick
+            test_labeled_anchor_leaves_index_unbuilt;
+          Alcotest.test_case "rare label: warm = cold" `Quick
+            test_rare_label_warm_equals_cold;
+        ] );
     ( "multicore-determinism",
       [
         Alcotest.test_case "federation pool sizes" `Quick

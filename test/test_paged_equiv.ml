@@ -460,6 +460,68 @@ let test_fsck_restores_routing () =
         (served_reply ws text = ([], full)))
     damages
 
+(* A served read reports the health of the parts it read.  A writer
+   domain keeps publishing (segments written first, the manifest swapped
+   by each commit) while the reader loops query_env with every cache off,
+   so each read rebuilds its space from whatever manifest is current —
+   in the middle of the writer's staged-but-uncommitted segments.  Those
+   are the publisher's in-flight files, not parts the read serves: no
+   reply may carry an issue.  An orphan segment left on disk is still
+   reported by health and removed by fsck. *)
+let test_publish_overlap_reads_clean () =
+  let dir, ws = build ~paged:true ~islands:3 ~terms:8 ~seed:4 in
+  Fun.protect ~finally:(fun () -> rm dir) @@ fun () ->
+  let text =
+    Printf.sprintf "SELECT * FROM %s:%s"
+      (Gen.federation_source_name "src" 0)
+      (Gen.concept_name 1)
+  in
+  let writing = Atomic.make true in
+  let writer =
+    Domain.spawn (fun () ->
+        let wws = Result.get_ok (Workspace.open_ dir) in
+        Fun.protect ~finally:(fun () -> Atomic.set writing false) @@ fun () ->
+        List.iter
+          (fun i ->
+            let p = Workspace.publisher wws in
+            let o =
+              Ontology.add_term (Ontology.create (Printf.sprintf "extra%d" i)) "Thing"
+            in
+            (match
+               Workspace.publish_source p o ~ext:".adj"
+                 ~payload:(Adjacency.print (Ontology.graph o))
+             with
+            | Ok () -> ()
+            | Error m -> failwith m);
+            match Workspace.commit p with Ok () -> () | Error m -> failwith m)
+          (List.init 20 Fun.id))
+  in
+  let reads = ref 0 and warned = ref [] in
+  Cache_stats.with_disabled (fun () ->
+      while Atomic.get writing || !reads < 20 do
+        incr reads;
+        match Workspace.query_env ws text with
+        | Error m -> Alcotest.failf "query_env: %s" m
+        | Ok served -> warned := served.Workspace.health.Health.issues @ !warned
+      done);
+  Domain.join writer;
+  check_int "no read overlapping a publish warns" 0 (List.length !warned);
+  (* Debris is still the health scan's and fsck's business. *)
+  let orphan = Filename.concat (Segment.segments_dir dir) "0123456789abcdef.seg" in
+  Out_channel.with_open_bin orphan (fun oc -> output_string oc "debris");
+  check_bool "health reports the orphan segment" true
+    (List.exists
+       (fun (i : Health.issue) -> i.Health.kind = Health.Orphan_segment)
+       (Workspace.health ws).Health.issues);
+  (match Workspace.query_env ws text with
+  | Ok served ->
+      check_int "a served read does not" 0
+        (List.length served.Workspace.health.Health.issues)
+  | Error m -> Alcotest.failf "query_env: %s" m);
+  let report = Workspace.fsck ws in
+  check_bool "fsck removed the orphan" false (Sys.file_exists orphan);
+  check_bool "healthy after fsck" true (Health.ok report.Workspace.health)
+
 let suite =
   [
     ( "paged-equiv",
@@ -478,5 +540,7 @@ let suite =
             test_crc_streaming;
           Alcotest.test_case "fsck restores routing after shard damage" `Quick
             test_fsck_restores_routing;
+          Alcotest.test_case "reads overlapping a publish report no debris"
+            `Quick test_publish_overlap_reads_clean;
         ] );
   ]
